@@ -8,17 +8,17 @@
 
 use sia_bench::harness::BenchGroup;
 use sia_dbt::{
-    accumulation_plan, build_a_hat, multiply_mm, multiply_mm_batch, multiply_mm_on, MmProblem,
-    MmShape,
+    accumulation_plan, build_a_hat_with, multiply_mm, multiply_mm_resident_on, BandCache, MmShape,
+    OperandRef,
 };
 use sia_matrix::gen;
 use sia_sim::ArrayStation;
 
 /// The main sweep measures the **steady-state serving path** — the solver
 /// on a persistent, warmed [`ArrayStation`], exactly how a `sia-runtime`
-/// worker serves every job since the zero-allocation rework.  The
-/// `mm_reuse_vs_fresh` group below isolates what the reuse buys over a
-/// from-scratch call.
+/// worker serves every job, over a capacity-0 [`BandCache`] so each solve
+/// re-transforms its operands.  The `mm_reuse_vs_fresh` group below
+/// isolates what the station reuse buys over a from-scratch call.
 fn bench_mm() {
     let mut group = BenchGroup::new("mm_hexagonal_array").sample_size(10);
     for (w, n, p, m) in [
@@ -30,13 +30,13 @@ fn bench_mm() {
         (8, 32, 32, 32),
         (8, 64, 64, 64),
     ] {
-        let a = gen::random_dense_f64(n, p, 11);
-        let b = gen::random_dense_f64(p, m, 12);
+        let a = OperandRef::named(1, gen::random_dense_f64(n, p, 11));
+        let b = OperandRef::named(2, gen::random_dense_f64(p, m, 12));
         let mut station = ArrayStation::new(w).unwrap();
-        multiply_mm_on(&mut station, &a, &b, None).unwrap(); // warm-up
-        group.bench(&format!("w{w}_{n}x{p}x{m}"), || {
-            multiply_mm_on(&mut station, &a, &b, None).unwrap()
-        });
+        let mut cache = BandCache::new(w, 0);
+        let mut solve = || multiply_mm_resident_on(&mut station, &mut cache, &a, &b, None).unwrap();
+        solve(); // warm-up
+        group.bench(&format!("w{w}_{n}x{p}x{m}"), &mut solve);
     }
 }
 
@@ -46,16 +46,16 @@ fn bench_mm() {
 fn bench_reuse_vs_fresh() {
     let mut group = BenchGroup::new("mm_reuse_vs_fresh").sample_size(10);
     let (w, n, p, m) = (4usize, 16usize, 16usize, 16usize);
-    let a = gen::random_dense_f64(n, p, 11);
-    let b = gen::random_dense_f64(p, m, 12);
+    let a = OperandRef::named(1, gen::random_dense_f64(n, p, 11));
+    let b = OperandRef::named(2, gen::random_dense_f64(p, m, 12));
     group.bench("fresh_w4_16x16x16", || {
-        multiply_mm(&a, &b, None, w).unwrap()
+        multiply_mm(a.matrix(), b.matrix(), None, w).unwrap()
     });
     let mut station = ArrayStation::new(w).unwrap();
-    multiply_mm_on(&mut station, &a, &b, None).unwrap(); // warm-up
-    group.bench("steady_w4_16x16x16", || {
-        multiply_mm_on(&mut station, &a, &b, None).unwrap()
-    });
+    let mut cache = BandCache::new(w, 0);
+    let mut solve = || multiply_mm_resident_on(&mut station, &mut cache, &a, &b, None).unwrap();
+    solve(); // warm-up
+    group.bench("steady_w4_16x16x16", &mut solve);
 }
 
 fn bench_operand_construction() {
@@ -67,7 +67,7 @@ fn bench_operand_construction() {
     ] {
         let a = gen::random_dense_f64(n, p, 13);
         group.bench(&format!("a_hat_w{w}_{n}x{p}x{mbar}"), || {
-            build_a_hat(&a, mbar, w).unwrap()
+            build_a_hat_with(&a, mbar, w, Vec::new()).unwrap()
         });
     }
     for (w, n, p, m) in [
@@ -82,35 +82,8 @@ fn bench_operand_construction() {
     }
 }
 
-fn bench_batch() {
-    // Throughput of the parallel batch API versus running the same jobs
-    // sequentially: 16 independent w=4 12x12x12 products.
-    let mut group = BenchGroup::new("mm_batch_16_jobs").sample_size(10);
-    let (w, n) = (4usize, 12usize);
-    let mats: Vec<_> = (0..16u64)
-        .map(|s| {
-            (
-                gen::random_dense_f64(n, n, 100 + s),
-                gen::random_dense_f64(n, n, 200 + s),
-            )
-        })
-        .collect();
-    let problems: Vec<MmProblem<'_, f64>> = mats
-        .iter()
-        .map(|(a, b)| MmProblem { a, b, e: None })
-        .collect();
-    group.bench("sequential", || {
-        problems
-            .iter()
-            .map(|p| multiply_mm(p.a, p.b, None, w).unwrap())
-            .collect::<Vec<_>>()
-    });
-    group.bench("run_batch", || multiply_mm_batch(&problems, w).unwrap());
-}
-
 fn main() {
     bench_mm();
     bench_reuse_vs_fresh();
     bench_operand_construction();
-    bench_batch();
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use sia_bench::harness::BenchGroup;
-use sia_dbt::{multiply_mv, multiply_mv_batch, multiply_mv_on, DbtByRows, MvProblem, MvSchedule};
+use sia_dbt::{multiply_mv, multiply_mv_resident_on, BandCache, DbtByRows, MvSchedule, OperandRef};
 use sia_matrix::gen;
 use sia_sim::ArrayStation;
 
@@ -27,9 +27,25 @@ fn bench_transformation() {
 
 /// The main sweeps measure the **steady-state serving path** — the solver
 /// on a persistent, warmed [`ArrayStation`], exactly how a `sia-runtime`
-/// worker serves every job since the zero-allocation rework.  The
-/// `mv_reuse_vs_fresh` group below isolates what the reuse buys over a
-/// from-scratch call.
+/// worker serves every job, over a capacity-0 [`BandCache`] so each solve
+/// re-transforms its operand.  The `mv_reuse_vs_fresh` group below
+/// isolates what the station reuse buys over a from-scratch call.
+fn bench_steady(
+    group: &mut BenchGroup,
+    name: &str,
+    w: usize,
+    a: &OperandRef,
+    x: &[f64],
+    schedule: MvSchedule,
+) {
+    let mut station = ArrayStation::new(w).unwrap();
+    let mut cache = BandCache::new(w, 0);
+    let mut solve =
+        || multiply_mv_resident_on(&mut station, &mut cache, a, x, None, schedule).unwrap();
+    solve(); // warm-up
+    group.bench(name, &mut solve);
+}
+
 fn bench_mv_simple() {
     let mut group = BenchGroup::new("mv_simple_schedule").sample_size(10);
     for (w, n, m) in [
@@ -39,13 +55,10 @@ fn bench_mv_simple() {
         (8, 32, 32),
         (8, 128, 128),
     ] {
-        let a = gen::random_dense_f64(n, m, 2);
+        let a = OperandRef::named(1, gen::random_dense_f64(n, m, 2));
         let x = gen::random_vector_f64(m, 3);
-        let mut station = ArrayStation::new(w).unwrap();
-        multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Simple).unwrap(); // warm-up
-        group.bench(&format!("w{w}_{n}x{m}"), || {
-            multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Simple).unwrap()
-        });
+        let name = format!("w{w}_{n}x{m}");
+        bench_steady(&mut group, &name, w, &a, &x, MvSchedule::Simple);
     }
 }
 
@@ -57,13 +70,10 @@ fn bench_mv_overlapped() {
         (8, 32, 32),
         (8, 128, 128),
     ] {
-        let a = gen::random_dense_f64(n, m, 4);
+        let a = OperandRef::named(1, gen::random_dense_f64(n, m, 4));
         let x = gen::random_vector_f64(m, 5);
-        let mut station = ArrayStation::new(w).unwrap();
-        multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Overlapped).unwrap(); // warm-up
-        group.bench(&format!("w{w}_{n}x{m}"), || {
-            multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Overlapped).unwrap()
-        });
+        let name = format!("w{w}_{n}x{m}");
+        bench_steady(&mut group, &name, w, &a, &x, MvSchedule::Overlapped);
     }
 }
 
@@ -71,44 +81,19 @@ fn bench_mv_overlapped() {
 fn bench_reuse_vs_fresh() {
     let mut group = BenchGroup::new("mv_reuse_vs_fresh").sample_size(10);
     let (w, n, m) = (8usize, 128usize, 128usize);
-    let a = gen::random_dense_f64(n, m, 2);
+    let a = OperandRef::named(1, gen::random_dense_f64(n, m, 2));
     let x = gen::random_vector_f64(m, 3);
     group.bench("fresh_w8_128x128", || {
-        multiply_mv(&a, &x, None, w, MvSchedule::Simple).unwrap()
+        multiply_mv(a.matrix(), &x, None, w, MvSchedule::Simple).unwrap()
     });
-    let mut station = ArrayStation::new(w).unwrap();
-    multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Simple).unwrap(); // warm-up
-    group.bench("steady_w8_128x128", || {
-        multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Simple).unwrap()
-    });
-}
-
-fn bench_batch() {
-    // Throughput of the parallel batch API versus running the same jobs
-    // sequentially: 16 independent w=4 48x48 products.
-    let mut group = BenchGroup::new("mv_batch_16_jobs").sample_size(10);
-    let (w, n) = (4usize, 48usize);
-    let data: Vec<_> = (0..16u64)
-        .map(|s| {
-            (
-                gen::random_dense_f64(n, n, 300 + s),
-                gen::random_vector_f64(n, 400 + s),
-            )
-        })
-        .collect();
-    let problems: Vec<MvProblem<'_, f64>> = data
-        .iter()
-        .map(|(a, x)| MvProblem { a, x, b: None })
-        .collect();
-    group.bench("sequential", || {
-        problems
-            .iter()
-            .map(|p| multiply_mv(p.a, p.x, None, w, MvSchedule::Simple).unwrap())
-            .collect::<Vec<_>>()
-    });
-    group.bench("run_batch", || {
-        multiply_mv_batch(&problems, w, MvSchedule::Simple).unwrap()
-    });
+    bench_steady(
+        &mut group,
+        "steady_w8_128x128",
+        w,
+        &a,
+        &x,
+        MvSchedule::Simple,
+    );
 }
 
 fn main() {
@@ -116,5 +101,4 @@ fn main() {
     bench_mv_simple();
     bench_mv_overlapped();
     bench_reuse_vs_fresh();
-    bench_batch();
 }

@@ -7,7 +7,9 @@
 //! ```
 
 use sia_bench::harness::BenchGroup;
-use sia_dbt::{multiply_mm_on, multiply_mv_on, MvSchedule};
+use sia_dbt::{
+    multiply_mm_resident_on, multiply_mv_resident_on, BandCache, MvSchedule, OperandRef,
+};
 use sia_matrix::{gen, BandMatrix, DenseMatrix};
 use sia_sim::{
     ArrayStation, HexArray, HexJob, HexScratch, LinearArray, LinearScratch, MvStream, YInjection,
@@ -40,9 +42,10 @@ fn bench_hex_engine() {
     let hex = HexArray::new(w).unwrap();
     group.bench("fresh_run_w4_band64", || hex.run(&job).unwrap());
     let mut scratch = HexScratch::new();
-    hex.run_with(&job, &mut scratch).unwrap(); // warm-up
+    let jobs = std::slice::from_ref(&job);
+    hex.run_lanes_with(jobs, &mut scratch).unwrap(); // warm-up
     group.bench("reused_scratch_w4_band64", || {
-        hex.run_with(&job, &mut scratch).unwrap()
+        hex.run_lanes_with(jobs, &mut scratch).unwrap()
     });
 }
 
@@ -67,38 +70,42 @@ fn bench_linear_engine() {
     let linear = LinearArray::new(w).unwrap();
     group.bench("fresh_run_w8_band256", || linear.run(&streams).unwrap());
     let mut scratch = LinearScratch::new();
-    linear.run_with(&streams, &mut scratch).unwrap(); // warm-up
+    let jobs = std::slice::from_ref(&streams);
+    linear.run_lanes_with(jobs, &mut scratch).unwrap(); // warm-up
     group.bench("reused_scratch_w8_band256", || {
-        linear.run_with(&streams, &mut scratch).unwrap()
+        linear.run_lanes_with(jobs, &mut scratch).unwrap()
     });
 }
 
 /// Sustained same-shape jobs/sec through one warm station, the way a
-/// `sia-runtime` worker serves a queue of coalesced jobs.
+/// `sia-runtime` worker serves a queue of coalesced jobs, over a
+/// capacity-0 band cache (every job re-transforms its operands).
 fn bench_station_throughput() {
     let w = 4usize;
-    let a = gen::random_dense_f64(16, 16, 21);
-    let b = gen::random_dense_f64(16, 16, 22);
+    let a = OperandRef::named(1, gen::random_dense_f64(16, 16, 21));
+    let b = OperandRef::named(2, gen::random_dense_f64(16, 16, 22));
     let x = gen::random_vector_f64(16, 23);
     let mut station = ArrayStation::new(w).unwrap();
-    multiply_mm_on(&mut station, &a, &b, None).unwrap();
-    multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Simple).unwrap();
+    let mut cache = BandCache::new(w, 0);
+    let mut serve = |mm: bool| {
+        if mm {
+            let outcome = multiply_mm_resident_on(&mut station, &mut cache, &a, &b, None);
+            std::hint::black_box(outcome.unwrap());
+        } else {
+            let schedule = MvSchedule::Simple;
+            let outcome = multiply_mv_resident_on(&mut station, &mut cache, &a, &x, None, schedule);
+            std::hint::black_box(outcome.unwrap());
+        }
+    };
+    serve(true);
+    serve(false);
     for (label, jobs) in [
         ("station_mm_16x16x16", 200usize),
         ("station_mv_16x16", 2000),
     ] {
         let start = Instant::now();
         for _ in 0..jobs {
-            match label {
-                "station_mm_16x16x16" => {
-                    std::hint::black_box(multiply_mm_on(&mut station, &a, &b, None).unwrap());
-                }
-                _ => {
-                    std::hint::black_box(
-                        multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Simple).unwrap(),
-                    );
-                }
-            }
+            serve(label == "station_mm_16x16x16");
         }
         let elapsed = start.elapsed();
         println!(

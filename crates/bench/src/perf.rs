@@ -17,7 +17,10 @@ use crate::experiments::{
     ThroughputStats, LANE_WIDTHS,
 };
 use crate::harness::BenchGroup;
-use sia_dbt::{multiply_mm_on, multiply_mv_on, MmShape, MvSchedule, MvShape};
+use sia_dbt::{
+    multiply_mm_resident_on, multiply_mv_resident_on, BandCache, MmShape, MvSchedule, MvShape,
+    OperandRef,
+};
 use sia_matrix::gen;
 use sia_runtime::Policy;
 use sia_sim::ArrayStation;
@@ -41,7 +44,8 @@ pub struct PerfRecord {
     pub cycles_predicted: usize,
     /// Median wall-time of one full solve (transform + simulate + extract)
     /// in the steady state: the solver runs on a persistent warm
-    /// [`ArrayStation`], the way the serving runtime executes it.
+    /// [`ArrayStation`], the way the serving runtime executes it, over a
+    /// capacity-0 [`BandCache`] so every solve re-transforms its operands.
     pub wall_ns: f64,
     /// Simulated array steps per second of wall time.
     pub steps_per_second: f64,
@@ -75,15 +79,17 @@ pub fn mm_perf_records() -> Vec<PerfRecord> {
         (4, 16, 16, 16),
         (8, 32, 32, 32),
     ] {
-        let a = gen::random_dense_f64(n, p, 11);
-        let b = gen::random_dense_f64(p, m, 12);
+        let a = OperandRef::named(1, gen::random_dense_f64(n, p, 11));
+        let b = OperandRef::named(2, gen::random_dense_f64(p, m, 12));
         let mut station = ArrayStation::new(w).expect("station");
-        let outcome = multiply_mm_on(&mut station, &a, &b, None).expect("mm run");
+        let mut cache = BandCache::new(w, 0);
+        let mut solve = || multiply_mm_resident_on(&mut station, &mut cache, &a, &b, None);
+        let outcome = solve().expect("mm run").0;
         let mut solves = 0u64;
         let allocs_before = sia_alloc::allocation_count();
         let stats = group.bench(&format!("w{w}_{n}x{p}x{m}"), || {
             solves += 1;
-            multiply_mm_on(&mut station, &a, &b, None).unwrap()
+            solve().unwrap()
         });
         let allocs = sia_alloc::allocation_count() - allocs_before;
         records.push(PerfRecord {
@@ -114,16 +120,18 @@ pub fn mv_perf_records() -> Vec<PerfRecord> {
         (8, 64, 64),
         (8, 128, 128),
     ] {
-        let a = gen::random_dense_f64(n, m, 2);
+        let a = OperandRef::named(1, gen::random_dense_f64(n, m, 2));
         let x = gen::random_vector_f64(m, 3);
         let mut station = ArrayStation::new(w).expect("station");
-        let outcome =
-            multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Simple).expect("mv run");
+        let mut cache = BandCache::new(w, 0);
+        let mut solve =
+            || multiply_mv_resident_on(&mut station, &mut cache, &a, &x, None, MvSchedule::Simple);
+        let outcome = solve().expect("mv run").0;
         let mut solves = 0u64;
         let allocs_before = sia_alloc::allocation_count();
         let stats = group.bench(&format!("w{w}_{n}x{m}"), || {
             solves += 1;
-            multiply_mv_on(&mut station, &a, &x, None, MvSchedule::Simple).unwrap()
+            solve().unwrap()
         });
         let allocs = sia_alloc::allocation_count() - allocs_before;
         records.push(PerfRecord {

@@ -7,11 +7,11 @@
 //! size-independent matrix–vector solver (the linear systolic array), while
 //! the small `w × w` diagonal solves are host / division-cell work.
 
-use super::{strip_has_nonzero, triangular::solve_lower, WorkSplit};
+use super::{strip_has_nonzero, strip_product, triangular::solve_lower, WorkSplit};
 use crate::analytic::MvShape;
 use crate::ext::lu::lu_decompose;
 use crate::ext::triangular::solve_upper;
-use crate::{multiply_mv_on, DbtError, MvSchedule};
+use crate::DbtError;
 use sia_matrix::{vector, DenseMatrix};
 use sia_sim::ArrayStation;
 
@@ -99,13 +99,7 @@ pub fn gauss_seidel_on(
             for (col_lo, col_hi) in [(0usize, lo), (hi, n)] {
                 if col_hi > col_lo && strip_has_nonzero(a, lo, hi, col_lo, col_hi) {
                     let strip = a.submatrix(lo, col_lo, hi - lo, col_hi - col_lo);
-                    let product = multiply_mv_on(
-                        station,
-                        &strip,
-                        &x[col_lo..col_hi],
-                        None,
-                        MvSchedule::Simple,
-                    )?;
+                    let product = strip_product(station, &strip, &x[col_lo..col_hi])?;
                     work.add_run(product.cycles);
                     for (slot, v) in rhs.iter_mut().zip(product.y) {
                         *slot -= v;
@@ -119,7 +113,7 @@ pub fn gauss_seidel_on(
             x[lo..hi].copy_from_slice(&xb.x);
         }
         // Residual check (one more array product).
-        let ax = multiply_mv_on(station, a, &x, None, MvSchedule::Simple)?;
+        let ax = strip_product(station, a, &x)?;
         work.add_run(ax.cycles);
         residual = vector::max_abs_diff(&ax.y, b).unwrap_or(f64::INFINITY);
         if residual < tol {

@@ -31,8 +31,29 @@ pub use triangular::{
     TriangularOutcome,
 };
 
-use crate::DbtError;
+use crate::resident::{serve_mv_lanes, solo, transient};
+use crate::{BandCache, DbtError, MvOutcome, MvSchedule};
 use sia_matrix::{DenseMatrix, Scalar};
+use sia_sim::ArrayStation;
+
+/// One strip product `A·x` on the station's linear array (simple
+/// schedule).  A strip is served once, so it goes through a capacity-0
+/// cache: staged, run, and not retained.
+fn strip_product<T: Scalar>(
+    station: &mut ArrayStation<T>,
+    a: &DenseMatrix<T>,
+    x: &[T],
+) -> Result<MvOutcome<T>, DbtError> {
+    let mut cache = BandCache::new(station.size(), 0);
+    let lanes = [(transient(a), x, None)];
+    let (outcome, _) = solo(serve_mv_lanes(
+        station,
+        &mut cache,
+        &lanes,
+        MvSchedule::Simple,
+    )?);
+    Ok(outcome)
+}
 
 /// Checks the square-system contract shared by the triangular and
 /// Gauss–Seidel drivers and the serving runtime's admission control: `w`

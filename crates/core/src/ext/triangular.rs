@@ -7,9 +7,9 @@
 //! through the linear systolic array), while the `w × w` diagonal-block
 //! substitutions are counted as host / division-cell operations.
 
-use super::{strip_has_nonzero, WorkSplit};
+use super::{strip_has_nonzero, strip_product, WorkSplit};
 use crate::analytic::MvShape;
-use crate::{multiply_mv_on, DbtError, MvSchedule};
+use crate::DbtError;
 use sia_matrix::{DenseMatrix, Scalar};
 use sia_sim::ArrayStation;
 
@@ -145,13 +145,7 @@ fn solve<T: Scalar>(
         let (known_lo, known_hi) = if lower { (0, lo) } else { (hi, n) };
         if known_hi > known_lo && strip_has_nonzero(a, lo, hi, known_lo, known_hi) {
             let strip = a.submatrix(lo, known_lo, hi - lo, known_hi - known_lo);
-            let outcome = multiply_mv_on(
-                station,
-                &strip,
-                &x[known_lo..known_hi],
-                None,
-                MvSchedule::Simple,
-            )?;
+            let outcome = strip_product(station, &strip, &x[known_lo..known_hi])?;
             work.add_run(outcome.cycles);
             for (slot, v) in rhs.iter_mut().zip(outcome.y) {
                 *slot = *slot - v;

@@ -24,11 +24,10 @@
 //! paper's central claim.
 
 use crate::analytic::MmShape;
+use crate::resident::{fresh, serve_mm_lanes, solo, transient};
 use crate::DbtError;
 use sia_matrix::{BandMatrix, BlockGrid, DenseMatrix, Scalar};
-use sia_sim::{
-    ArrayStation, CInjection, CInjectionSchedule, FeedbackSummary, HexJob, HexScratch, SimError,
-};
+use sia_sim::{CInjection, CInjectionSchedule, FeedbackSummary, HexScratch};
 use std::sync::Arc;
 
 /// Result of one size-independent matrix–matrix multiplication.
@@ -61,7 +60,11 @@ impl<T> MmOutcome<T> {
 }
 
 /// Builds the transformed operand `Â` (upper band, dimension
-/// `w·p̄·n̄·m̄ + w − 1`) from the dense `A`.
+/// `w·p̄·n̄·m̄ + w − 1`) from the dense `A`, into caller-provided backing
+/// storage: same-shape bands have identical layouts, so the resident
+/// operand cache ([`crate::resident`]) backs a staged band with an evicted
+/// band's storage, without a free/alloc pair.  Pass `Vec::new()` for fresh
+/// storage.
 ///
 /// The band juxtaposes `m̄` identical copies of the DBT-by-rows pattern, so
 /// only the first copy is written element by element; the remaining copies
@@ -74,23 +77,6 @@ impl<T> MmOutcome<T> {
 /// # Errors
 ///
 /// Returns [`DbtError`] for a zero array size or empty matrices.
-pub fn build_a_hat<T: Scalar>(
-    a: &DenseMatrix<T>,
-    mbar: usize,
-    w: usize,
-) -> Result<BandMatrix<T>, DbtError> {
-    build_a_hat_with(a, mbar, w, Vec::new())
-}
-
-/// [`build_a_hat`] with caller-provided backing storage for the band — the
-/// slab-recycling entry point of the resident operand cache
-/// ([`crate::resident`]): same-shape bands have identical layouts, so an
-/// evicted band's storage backs its replacement without a free/alloc pair.
-/// Passing `Vec::new()` is equivalent to [`build_a_hat`].
-///
-/// # Errors
-///
-/// The errors of [`build_a_hat`].
 pub fn build_a_hat_with<T: Scalar>(
     a: &DenseMatrix<T>,
     mbar: usize,
@@ -146,25 +132,12 @@ pub fn build_a_hat_with<T: Scalar>(
 }
 
 /// Builds the transformed operand `B̂` (lower band, dimension
-/// `w·p̄·n̄·m̄ + w − 1`) from the dense `B`.
+/// `w·p̄·n̄·m̄ + w − 1`) from the dense `B`, into caller-provided backing
+/// storage — see [`build_a_hat_with`].
 ///
 /// # Errors
 ///
 /// Returns [`DbtError`] for a zero array size or empty matrices.
-pub fn build_b_hat<T: Scalar>(
-    b: &DenseMatrix<T>,
-    nbar: usize,
-    w: usize,
-) -> Result<BandMatrix<T>, DbtError> {
-    build_b_hat_with(b, nbar, w, Vec::new())
-}
-
-/// [`build_b_hat`] with caller-provided backing storage for the band — see
-/// [`build_a_hat_with`].
-///
-/// # Errors
-///
-/// The errors of [`build_b_hat`].
 pub fn build_b_hat_with<T: Scalar>(
     b: &DenseMatrix<T>,
     nbar: usize,
@@ -316,7 +289,9 @@ pub fn accumulation_plan(shape: MmShape) -> Result<AccumulationPlan, DbtError> {
 
 /// Computes `C = A·B + E` on a `w × w` hexagonal systolic array.
 ///
-/// `e` may be `None`, in which case it is taken to be zero.
+/// `e` may be `None`, in which case it is taken to be zero.  This is
+/// [`crate::multiply_mm_resident_on`] on a new station over a capacity-0
+/// [`crate::BandCache`], which stages both bands and keeps nothing.
 ///
 /// # Errors
 ///
@@ -344,158 +319,9 @@ pub fn multiply_mm<T: Scalar>(
     e: Option<&DenseMatrix<T>>,
     w: usize,
 ) -> Result<MmOutcome<T>, DbtError> {
-    if w == 0 {
-        return Err(DbtError::ZeroArraySize);
-    }
-    multiply_mm_on(&mut ArrayStation::new(w)?, a, b, e)
-}
-
-/// Computes `C = A·B + E` on a **caller-owned** array station.
-///
-/// Identical to [`multiply_mm`] except that the array (and its persistent
-/// run workspace) is provided by the caller instead of being constructed
-/// per call: long-lived owners — the `sia-runtime` worker pool keeps one
-/// station per worker for its whole lifetime — route every job through the
-/// same warm [`sia_sim::HexScratch`], so the simulation itself performs no
-/// heap allocation in steady state, and the executed array steps are
-/// recorded in the station's cumulative counters *structurally* (by the run
-/// itself, not by caller-side back-attribution).
-///
-/// # Errors
-///
-/// Same as [`multiply_mm`], with the array size taken from `station`.
-pub fn multiply_mm_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    a: &DenseMatrix<T>,
-    b: &DenseMatrix<T>,
-    e: Option<&DenseMatrix<T>>,
-) -> Result<MmOutcome<T>, DbtError> {
-    let (job, schedule) = prepare_mm(a, b, e, station.size())?;
-    let scratch = station.run_hex(&job)?;
-    let feedback = scratch.feedback_summary();
-    Ok(schedule.complete(scratch, 0, feedback))
-}
-
-/// One matrix–matrix problem of a batch, by reference.
-#[derive(Debug, Clone, Copy)]
-pub struct MmProblem<'a, T> {
-    /// Left operand.
-    pub a: &'a DenseMatrix<T>,
-    /// Right operand.
-    pub b: &'a DenseMatrix<T>,
-    /// Optional additive term `E` of `C = A·B + E`.
-    pub e: Option<&'a DenseMatrix<T>>,
-}
-
-/// Computes many independent `C = A·B + E` products on the same `w × w`
-/// array, fanning the **whole pipeline** — operand construction, simulation
-/// and result extraction — out across OS threads per problem
-/// ([`sia_sim::batch::par_map_with`], one warm station per thread), so no
-/// serial prepare phase bounds the speedup.  Outcomes are returned in
-/// problem order and are bit-identical to what [`multiply_mm`] produces for
-/// each problem.
-///
-/// # Errors
-///
-/// Returns the error of the first (lowest-index) failing problem, if any.
-pub fn multiply_mm_batch<T: Scalar>(
-    problems: &[MmProblem<'_, T>],
-    w: usize,
-) -> Result<Vec<MmOutcome<T>>, DbtError> {
-    if w == 0 {
-        return Err(DbtError::ZeroArraySize);
-    }
-    sia_sim::batch::par_map_with(
-        problems,
-        || ArrayStation::new(w).expect("w validated above"),
-        |station, p| multiply_mm_on(station, p.a, p.b, p.e),
-    )
-    .into_iter()
-    .collect()
-}
-
-/// Computes a batch of `C = A·B + E` products **serially** on a
-/// caller-owned station — the single-array counterpart of
-/// [`multiply_mm_batch`], used by the serving runtime to run a coalesced
-/// batch through the worker's own warm workspace (every member's steps are
-/// recorded in the station's counters structurally, and the whole batch
-/// performs no engine allocation in steady state).  Outcomes are
-/// bit-identical to per-problem [`multiply_mm`] calls.
-///
-/// # Errors
-///
-/// Stops at and returns the error of the first failing problem, if any.
-pub fn multiply_mm_batch_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    problems: &[MmProblem<'_, T>],
-) -> Result<Vec<MmOutcome<T>>, DbtError> {
-    problems
-        .iter()
-        .map(|p| multiply_mm_on(station, p.a, p.b, p.e))
-        .collect()
-}
-
-/// Computes a batch of **same-shape** `C = A·B + E` products on a
-/// caller-owned station in lane-parallel array passes: up to
-/// [`crate::MAX_LANES`] problems share each pass, one value lane per
-/// problem, so the pass costs one tape replay instead of `L`.  The serving
-/// runtime routes coalesced batches (which are same-shape by construction)
-/// through here when lanes are enabled.
-///
-/// Outcomes are bit-identical to per-problem [`multiply_mm`] calls, in
-/// problem order, and each problem is billed the pass's full modeled cycle
-/// count — identical to its solo cost, so closed-form predictions are
-/// unchanged.
-///
-/// # Errors
-///
-/// The errors of [`multiply_mm`] per problem, plus
-/// [`sia_sim::SimError::LaneMismatch`] (via [`DbtError::Sim`]) if the
-/// problems do not all share one shape.
-pub fn multiply_mm_lanes_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    problems: &[MmProblem<'_, T>],
-) -> Result<Vec<MmOutcome<T>>, DbtError> {
-    let w = station.size();
-    let mut outcomes = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(crate::MAX_LANES) {
-        if chunk.len() == 1 {
-            outcomes.push(multiply_mm_on(station, chunk[0].a, chunk[0].b, chunk[0].e)?);
-            continue;
-        }
-        // Lane mates share one problem shape, so the shape-only work — the
-        // accumulation plan, the flattened injection schedule and the
-        // extraction map — is computed once per chunk, not once per lane;
-        // only the operand bands (and, with an additive term, the literal
-        // injection values) are per-problem.
-        let shape = validate_mm_args(chunk[0].a, chunk[0].b, chunk[0].e, w)?;
-        for (lane, p) in chunk.iter().enumerate().skip(1) {
-            if validate_mm_args(p.a, p.b, p.e, w)? != shape {
-                return Err(DbtError::Sim(SimError::LaneMismatch {
-                    lane,
-                    what: "problem shape",
-                }));
-            }
-        }
-        let schedule = MmSchedule::new(shape)?;
-        let mut jobs = Vec::with_capacity(chunk.len());
-        for p in chunk {
-            jobs.push(HexJob {
-                a: Arc::new(build_a_hat(p.a, shape.mbar(), w)?),
-                b: Arc::new(build_b_hat(p.b, shape.nbar(), w)?),
-                c_injections: schedule.injections_for(p.e),
-            });
-        }
-        let scratch = station.run_hex_lanes(&jobs)?;
-        // One summary per pass: lanes share the feedback schedule, and the
-        // summary's event list is behind an `Arc`, so each outcome's copy
-        // is O(1).
-        let feedback = scratch.feedback_summary();
-        for lane in 0..chunk.len() {
-            outcomes.push(schedule.complete(scratch, lane, feedback.clone()));
-        }
-    }
-    Ok(outcomes)
+    fresh(w, |station, cache| {
+        serve_mm_lanes(station, cache, &[(transient(a), transient(b), e)]).map(solo)
+    })
 }
 
 /// The **shape-only** half of a matrix–matrix job: the flattened injection
@@ -528,8 +354,6 @@ pub(crate) struct MmSchedule<T> {
     final_position: Vec<Option<(usize, usize)>>,
 }
 
-/// Builds the transformed job (operands behind [`Arc`], no band cloning)
-/// plus the extraction map for one problem.
 /// Checks the `A`/`B`/`E` dimension contract shared by [`multiply_mm`] and
 /// the serving runtime's admission control, and returns the problem shape.
 /// Having one checker means admission can never accept a job the solver
@@ -572,26 +396,6 @@ pub fn validate_mm_args<T: Scalar>(
         p: a.cols(),
         m: b.cols(),
     })
-}
-
-fn prepare_mm<T: Scalar>(
-    a: &DenseMatrix<T>,
-    b: &DenseMatrix<T>,
-    e: Option<&DenseMatrix<T>>,
-    w: usize,
-) -> Result<(HexJob<T>, MmSchedule<T>), DbtError> {
-    let shape = validate_mm_args(a, b, e, w)?;
-    let a_hat = build_a_hat(a, shape.mbar(), w)?;
-    let b_hat = build_b_hat(b, shape.nbar(), w)?;
-    debug_assert_eq!(a_hat.rows(), shape.transformed_dim());
-    debug_assert_eq!(b_hat.rows(), shape.transformed_dim());
-    let schedule = MmSchedule::new(shape)?;
-    let job = HexJob {
-        a: Arc::new(a_hat),
-        b: Arc::new(b_hat),
-        c_injections: schedule.injections_for(e),
-    };
-    Ok((job, schedule))
 }
 
 impl<T: Scalar> MmSchedule<T> {
@@ -806,8 +610,8 @@ mod tests {
             p: 6,
             m: 9,
         };
-        let a_hat = build_a_hat(&a, shape.mbar(), w).unwrap();
-        let b_hat = build_b_hat(&b, shape.nbar(), w).unwrap();
+        let a_hat = build_a_hat_with(&a, shape.mbar(), w, Vec::new()).unwrap();
+        let b_hat = build_b_hat_with(&b, shape.nbar(), w, Vec::new()).unwrap();
         assert_eq!(a_hat.rows(), shape.transformed_dim());
         assert_eq!(a_hat.cols(), shape.transformed_dim());
         assert_eq!(b_hat.rows(), shape.transformed_dim());
@@ -861,7 +665,7 @@ mod tests {
         let w = 3;
         let a = gen::random_dense_i64(7, 8, 5, 91);
         let mbar = 3;
-        let a_hat = build_a_hat(&a, mbar, w).unwrap();
+        let a_hat = build_a_hat_with(&a, mbar, w, Vec::new()).unwrap();
         let per_copy = 7usize.div_ceil(w) * 8usize.div_ceil(w);
         let copy_rows = per_copy * w;
         for c in 1..mbar {
@@ -877,12 +681,15 @@ mod tests {
 
     #[test]
     fn batch_solver_matches_sequential_outcomes() {
+        // The batch solver is the lane path; over a capacity-0 cache it is
+        // the fresh solver packed into one array pass.
+        use crate::{multiply_mm_resident_lanes_on, BandCache, MmProblem, OperandRef};
         let w = 2;
         let mats: Vec<_> = (0..5u64)
             .map(|s| {
                 (
-                    gen::random_dense_i64(4, 5, 4, 300 + s),
-                    gen::random_dense_i64(5, 3, 4, 400 + s),
+                    OperandRef::named(s, gen::random_dense_i64(4, 5, 4, 300 + s)),
+                    OperandRef::named(s, gen::random_dense_i64(5, 3, 4, 400 + s)),
                 )
             })
             .collect();
@@ -890,9 +697,12 @@ mod tests {
             .iter()
             .map(|(a, b)| MmProblem { a, b, e: None })
             .collect();
-        let batch = multiply_mm_batch(&problems, w).unwrap();
+        let mut station = sia_sim::ArrayStation::new(w).unwrap();
+        let (batch, _) =
+            multiply_mm_resident_lanes_on(&mut station, &mut BandCache::new(w, 0), &problems)
+                .unwrap();
         for (p, outcome) in problems.iter().zip(&batch) {
-            let solo = multiply_mm(p.a, p.b, None, w).unwrap();
+            let solo = multiply_mm(p.a.matrix(), p.b.matrix(), None, w).unwrap();
             assert_eq!(outcome.c, solo.c);
             assert_eq!(outcome.cycles, solo.cycles);
             assert_eq!(outcome.feedback, solo.feedback);

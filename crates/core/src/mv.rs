@@ -19,9 +19,10 @@
 //! line of Fig. 2b).
 
 use crate::analytic::MvShape;
+use crate::resident::{fresh, serve_mv_lanes, solo, transient};
 use crate::{DbtByRows, DbtError};
 use sia_matrix::{DenseMatrix, Scalar};
-use sia_sim::{ArrayStation, FeedbackSummary, LinearScratch, MvStream};
+use sia_sim::{FeedbackSummary, LinearScratch};
 
 /// Which of the paper's two linear-array schedules to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,7 +75,9 @@ impl<T> MvOutcome<T> {
 
 /// Computes `y = A·x + b` on a `w`-cell linear systolic array.
 ///
-/// `b` may be `None`, in which case it is taken to be zero.
+/// `b` may be `None`, in which case it is taken to be zero.  This is
+/// [`crate::multiply_mv_resident_on`] on a new station over a capacity-0
+/// [`crate::BandCache`], which stages the operand and keeps nothing.
 ///
 /// # Errors
 ///
@@ -105,145 +108,15 @@ pub fn multiply_mv<T: Scalar>(
     w: usize,
     schedule: MvSchedule,
 ) -> Result<MvOutcome<T>, DbtError> {
-    if w == 0 {
-        return Err(DbtError::ZeroArraySize);
-    }
-    multiply_mv_on(&mut ArrayStation::new(w)?, a, x, b, schedule)
-}
-
-/// Computes `y = A·x + b` on a **caller-owned** array station.
-///
-/// Identical to [`multiply_mv`] except that the array (and its persistent
-/// run workspace) is provided by the caller instead of being constructed
-/// per call: long-lived owners — the `sia-runtime` worker pool keeps one
-/// station per worker for its whole lifetime — route every job through the
-/// same warm [`sia_sim::LinearScratch`], so the simulation itself performs
-/// no heap allocation in steady state, and the executed array steps are
-/// recorded in the station's cumulative counters *structurally*.
-///
-/// # Errors
-///
-/// Same as [`multiply_mv`], with the array size taken from `station`.
-pub fn multiply_mv_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    a: &DenseMatrix<T>,
-    x: &[T],
-    b: Option<&[T]>,
-    schedule: MvSchedule,
-) -> Result<MvOutcome<T>, DbtError> {
-    let w = station.size();
-    let shape = validate_mv_args(a, x, b, w)?;
-    let prepared = prepare_mv(a, x, b, w, shape, schedule)?;
-    let scratch = station.run_mv(&prepared.streams)?;
-    prepared.finish.complete(scratch, 0)
-}
-
-/// One matrix–vector problem of a batch, by reference.
-#[derive(Debug, Clone, Copy)]
-pub struct MvProblem<'a, T> {
-    /// The dense matrix `A`.
-    pub a: &'a DenseMatrix<T>,
-    /// The vector `x`.
-    pub x: &'a [T],
-    /// Optional additive vector `b` of `y = A·x + b`.
-    pub b: Option<&'a [T]>,
-}
-
-/// Computes many independent `y = A·x + b` products on the same `w`-cell
-/// array with the given schedule, fanning the **whole pipeline** — DBT
-/// transformation, simulation and result extraction — out across OS
-/// threads per problem ([`sia_sim::batch::par_map_with`], one warm station
-/// per thread), so no serial prepare phase bounds the speedup.  Outcomes
-/// are returned in problem order and are bit-identical to what
-/// [`multiply_mv`] produces for each problem.
-///
-/// # Errors
-///
-/// Returns the error of the first (lowest-index) failing problem, if any.
-pub fn multiply_mv_batch<T: Scalar>(
-    problems: &[MvProblem<'_, T>],
-    w: usize,
-    schedule: MvSchedule,
-) -> Result<Vec<MvOutcome<T>>, DbtError> {
-    if w == 0 {
-        return Err(DbtError::ZeroArraySize);
-    }
-    sia_sim::batch::par_map_with(
-        problems,
-        || ArrayStation::new(w).expect("w validated above"),
-        |station, p| multiply_mv_on(station, p.a, p.x, p.b, schedule),
-    )
-    .into_iter()
-    .collect()
-}
-
-/// Computes a batch of `y = A·x + b` products **serially** on a
-/// caller-owned station — the single-array counterpart of
-/// [`multiply_mv_batch`], used by the serving runtime to run a coalesced
-/// batch through the worker's own warm workspace.  Outcomes are
-/// bit-identical to per-problem [`multiply_mv`] calls.
-///
-/// # Errors
-///
-/// Stops at and returns the error of the first failing problem, if any.
-pub fn multiply_mv_batch_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    problems: &[MvProblem<'_, T>],
-    schedule: MvSchedule,
-) -> Result<Vec<MvOutcome<T>>, DbtError> {
-    problems
-        .iter()
-        .map(|p| multiply_mv_on(station, p.a, p.x, p.b, schedule))
-        .collect()
-}
-
-/// Computes a batch of **same-shape** `y = A·x + b` products on a
-/// caller-owned station in lane-parallel array passes: up to
-/// [`crate::MAX_LANES`] problems share each pass, one value lane per
-/// problem — the matrix–vector counterpart of
-/// [`crate::multiply_mm_lanes_on`].
-///
-/// Outcomes are bit-identical to per-problem [`multiply_mv`] calls, in
-/// problem order, with each problem billed the pass's full modeled cycle
-/// count (identical to its solo cost).
-///
-/// # Errors
-///
-/// The errors of [`multiply_mv`] per problem, plus
-/// [`sia_sim::SimError::LaneMismatch`] (via [`DbtError::Sim`]) if the
-/// problems do not all share one shape.
-pub fn multiply_mv_lanes_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    problems: &[MvProblem<'_, T>],
-    schedule: MvSchedule,
-) -> Result<Vec<MvOutcome<T>>, DbtError> {
-    let w = station.size();
-    let mut outcomes = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(crate::MAX_LANES) {
-        if chunk.len() == 1 {
-            let p = chunk[0];
-            outcomes.push(multiply_mv_on(station, p.a, p.x, p.b, schedule)?);
-            continue;
-        }
-        let mut prepared = Vec::with_capacity(chunk.len());
-        for p in chunk {
-            let shape = validate_mv_args(p.a, p.x, p.b, w)?;
-            prepared.push(prepare_mv(p.a, p.x, p.b, w, shape, schedule)?);
-        }
-        let jobs: Vec<&[MvStream<T>]> = prepared.iter().map(|p| p.streams.as_slice()).collect();
-        let scratch = station.run_mv_lanes(&jobs)?;
-        for (lane, p) in prepared.into_iter().enumerate() {
-            outcomes.push(p.finish.complete(scratch, lane)?);
-        }
-    }
-    Ok(outcomes)
+    fresh(w, |station, cache| {
+        serve_mv_lanes(station, cache, &[(transient(a), x, b)], schedule).map(solo)
+    })
 }
 
 /// Checks the `A`/`x`/`b` dimension contract shared by [`multiply_mv`],
-/// [`multiply_mv_batch`], the block-sparse variant and the serving
-/// runtime's admission control, and returns the problem shape.  Having one
-/// checker means admission can never accept a job the solver would later
-/// reject.
+/// the block-sparse variant and the serving runtime's admission control,
+/// and returns the problem shape.  Having one checker means admission can
+/// never accept a job the solver would later reject.
 ///
 /// # Errors
 ///
@@ -283,38 +156,11 @@ pub fn validate_mv_args<T: Scalar>(
     })
 }
 
-/// A problem transformed into array streams plus the recipe to read the
-/// result back out.
-struct PreparedMv<T> {
-    streams: Vec<MvStream<T>>,
-    finish: MvFinish<T>,
-}
-
-/// Extraction state: the transformation objects know which band rows carry
-/// the final values.
-struct MvFinish<T> {
-    shape: MvShape,
-    schedule: MvSchedule,
-    /// One transformation per stream (one for simple, two for overlapped).
-    dbts: Vec<DbtByRows<T>>,
-}
-
-impl<T: Scalar> MvFinish<T> {
-    /// Extracts the result vector of one lane from the engine workspace of
-    /// the run (`lane` is `0` for a solo run).
-    fn complete(self, scratch: &LinearScratch<T>, lane: usize) -> Result<MvOutcome<T>, DbtError> {
-        complete_mv_lane(&self.dbts, self.shape, self.schedule, scratch, lane)
-    }
-}
-
-/// Extracts one lane's result vector from the engine workspace, given the
-/// transformation objects of the run's streams.  Shared by the owned
-/// per-run finish state above and by the resident-operand serve path
-/// ([`crate::resident`]), whose transformations live in a cache — both go
-/// through the exact same extraction, so cached serving is structurally
-/// bit-identical to fresh serving.
-pub(crate) fn complete_mv_lane<T: Scalar, D: std::borrow::Borrow<DbtByRows<T>>>(
-    dbts: &[D],
+/// Extracts one lane's result vector from the engine workspace (`lane` is
+/// `0` for a solo run), given the transformation objects of the run's
+/// streams — one for the simple schedule, two for the overlapped one.
+pub(crate) fn complete_mv_lane<T: Scalar>(
+    dbts: &[DbtByRows<T>],
     shape: MvShape,
     schedule: MvSchedule,
     scratch: &LinearScratch<T>,
@@ -326,7 +172,6 @@ pub(crate) fn complete_mv_lane<T: Scalar, D: std::borrow::Borrow<DbtByRows<T>>>(
     // order-independent anyway).
     let mut y_hat: Vec<T> = Vec::new();
     for (stream, dbt) in dbts.iter().enumerate() {
-        let dbt = dbt.borrow();
         y_hat.clear();
         y_hat.resize(dbt.band().rows(), T::zero());
         let produced = scratch.collect_y_lane_into(stream, lane, &mut y_hat);
@@ -382,72 +227,6 @@ pub fn predicted_mv_cycles(shape: MvShape, schedule: MvSchedule) -> (usize, bool
         }
         MvSchedule::Overlapped => (shape.cycles_overlapped(), false),
     }
-}
-
-/// Builds the stream set for one problem.  The DBT bands are handed to the
-/// streams behind shared handles ([`DbtByRows::band_shared`]) — no
-/// coefficient storage is cloned.
-fn prepare_mv<T: Scalar>(
-    a: &DenseMatrix<T>,
-    x: &[T],
-    b: Option<&[T]>,
-    w: usize,
-    shape: MvShape,
-    schedule: MvSchedule,
-) -> Result<PreparedMv<T>, DbtError> {
-    if schedule == MvSchedule::Overlapped && overlap_splittable(shape) {
-        // Split at an original block-row boundary (the dotted line of
-        // Fig. 2b): the first ⌈n̄/2⌉ block rows form one sub-problem, the
-        // rest the other, interleaved in the array's idle cycles.
-        let nbar = shape.nbar();
-        let split_rows = (nbar / 2) * w;
-        let top = a.submatrix(0, 0, split_rows, a.cols());
-        let bottom = a.submatrix(split_rows, 0, a.rows() - split_rows, a.cols());
-        let zero = vec![T::zero(); a.rows()];
-        let b_full = b.unwrap_or(&zero);
-        let (b_top, b_bottom) = b_full.split_at(split_rows.min(b_full.len()));
-
-        let dbt_top = DbtByRows::new(&top, w)?;
-        let dbt_bottom = DbtByRows::new(&bottom, w)?;
-        let streams = vec![
-            MvStream {
-                band: dbt_top.band_shared(),
-                x: dbt_top.transform_x(x)?,
-                y_injections: dbt_top.y_injections(Some(b_top))?,
-            },
-            MvStream {
-                band: dbt_bottom.band_shared(),
-                x: dbt_bottom.transform_x(x)?,
-                y_injections: dbt_bottom.y_injections(Some(b_bottom))?,
-            },
-        ];
-        return Ok(PreparedMv {
-            streams,
-            finish: MvFinish {
-                shape,
-                schedule,
-                dbts: vec![dbt_top, dbt_bottom],
-            },
-        });
-    }
-    // Simple schedule — also the fallback for an overlapped request on a
-    // single block row, which cannot be split (the outcome still reports
-    // `Overlapped` predictions via `shape`, but the measured numbers are
-    // the honest ones).
-    let dbt = DbtByRows::new(a, w)?;
-    let streams = vec![MvStream {
-        band: dbt.band_shared(),
-        x: dbt.transform_x(x)?,
-        y_injections: dbt.y_injections(b)?,
-    }];
-    Ok(PreparedMv {
-        streams,
-        finish: MvFinish {
-            shape,
-            schedule,
-            dbts: vec![dbt],
-        },
-    })
 }
 
 #[cfg(test)]

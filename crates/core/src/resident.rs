@@ -21,10 +21,10 @@
 //!   layouts, so an evicted band's buffer backs its replacement without a
 //!   free/alloc pair ([`build_a_hat_with`]).  MM injection-schedule
 //!   templates (shape-only) are kept in a small side table.
-//! * `multiply_*_resident_*` — serve entry points that are **bit-identical**
-//!   to their fresh-transform counterparts (they run the same simulator on
-//!   the same bands and extract through the same code paths) and report
-//!   what they staged via [`StagingReport`].
+//! * `multiply_*_resident_*` — the one serve path per operation, reporting
+//!   what each serve staged via [`StagingReport`].  The fresh solvers
+//!   ([`crate::multiply_mm`] and friends) are these serves over a
+//!   capacity-0 cache, which stages every operand and retains nothing.
 //!
 //! Staging is priced apart from compute: a staged band costs one cycle per
 //! stored band position (`rows × bandwidth` — the bytes that move) and the
@@ -113,6 +113,23 @@ impl<T: Scalar> OperandRef<T> {
     pub fn shared(&self) -> &Arc<DenseMatrix<T>> {
         &self.data
     }
+
+    /// The operand as the cache looks it up.
+    pub(crate) fn keyed(&self) -> Keyed<'_, T> {
+        (self.key, &self.data)
+    }
+}
+
+/// An operand as [`BandCache`] looks it up: its key and the matrix,
+/// borrowed.  Transient callers — the `multiply_*` wrappers and the `ext`
+/// strip products — pass [`transient`] operands to a capacity-0 cache, so
+/// they need no [`OperandRef`], no [`Arc`] and no clone.
+pub(crate) type Keyed<'a, T> = (u64, &'a DenseMatrix<T>);
+
+/// A matrix served once: the key is never retained, because a capacity-0
+/// cache stores nothing.
+pub(crate) fn transient<T: Scalar>(matrix: &DenseMatrix<T>) -> Keyed<'_, T> {
+    (0, matrix)
 }
 
 impl<T: Scalar> Deref for OperandRef<T> {
@@ -339,7 +356,7 @@ impl<T: Scalar> BandCache<T> {
     fn mm_band(
         &mut self,
         role: BandRole,
-        operand: &OperandRef<T>,
+        (operand, matrix): Keyed<'_, T>,
         shape: MmShape,
         report: &mut StagingReport,
     ) -> Result<Arc<BandMatrix<T>>, DbtError> {
@@ -349,7 +366,7 @@ impl<T: Scalar> BandCache<T> {
             _ => unreachable!("mm_band is only called with MM roles"),
         };
         let key = BandKey {
-            operand: operand.key(),
+            operand,
             role,
             rep: rep as u32,
             w: self.w as u32,
@@ -361,14 +378,14 @@ impl<T: Scalar> BandCache<T> {
         report.misses += 1;
         let storage = self.slabs.pop().unwrap_or_default();
         let band = match role {
-            BandRole::MmLeft => build_a_hat_with(operand.matrix(), rep, self.w, storage)?,
-            BandRole::MmRight => build_b_hat_with(operand.matrix(), rep, self.w, storage)?,
+            BandRole::MmLeft => build_a_hat_with(matrix, rep, self.w, storage)?,
+            BandRole::MmRight => build_b_hat_with(matrix, rep, self.w, storage)?,
             _ => unreachable!("mm_band is only called with MM roles"),
         };
         let cycles = band.rows() * band.bandwidth();
         self.lru.note_staged(cycles);
         report.staging_cycles += cycles;
-        report.note_staged(operand.key());
+        report.note_staged(operand);
         let arc = Arc::new(band);
         self.insert(key, ResidentBand::Hat(Arc::clone(&arc)), report);
         Ok(arc)
@@ -379,12 +396,12 @@ impl<T: Scalar> BandCache<T> {
     fn mv_dbts(
         &mut self,
         role: BandRole,
-        operand: &OperandRef<T>,
+        (operand, a): Keyed<'_, T>,
         shape: MvShape,
         report: &mut StagingReport,
     ) -> Result<Arc<Vec<DbtByRows<T>>>, DbtError> {
         let key = BandKey {
-            operand: operand.key(),
+            operand,
             role,
             rep: 0,
             w: self.w as u32,
@@ -394,10 +411,10 @@ impl<T: Scalar> BandCache<T> {
             return Ok(Arc::clone(dbts));
         }
         report.misses += 1;
-        let a = operand.matrix();
         let dbts = if role == BandRole::MvOverlapped {
-            // Split at an original block-row boundary, exactly as the fresh
-            // path does — cached bands are bit-identical by construction.
+            // Split at an original block-row boundary (the dotted line of
+            // Fig. 2b): the first ⌊n̄/2⌋ block rows form one sub-problem,
+            // the rest the other, interleaved in the array's idle cycles.
             let split_rows = (shape.nbar() / 2) * self.w;
             let top = a.submatrix(0, 0, split_rows, a.cols());
             let bottom = a.submatrix(split_rows, 0, a.rows() - split_rows, a.cols());
@@ -414,7 +431,7 @@ impl<T: Scalar> BandCache<T> {
             .sum();
         self.lru.note_staged(cycles);
         report.staging_cycles += cycles;
-        report.note_staged(operand.key());
+        report.note_staged(operand);
         let arc = Arc::new(dbts);
         self.insert(key, ResidentBand::Mv(Arc::clone(&arc)), report);
         Ok(arc)
@@ -423,11 +440,11 @@ impl<T: Scalar> BandCache<T> {
     /// Looks up (or stages) the block-sparse artifacts of an operand.
     fn sparse(
         &mut self,
-        operand: &OperandRef<T>,
+        (operand, matrix): Keyed<'_, T>,
         report: &mut StagingReport,
     ) -> Result<Arc<SparseResident<T>>, DbtError> {
         let key = BandKey {
-            operand: operand.key(),
+            operand,
             role: BandRole::Sparse,
             rep: 0,
             w: self.w as u32,
@@ -437,11 +454,11 @@ impl<T: Scalar> BandCache<T> {
             return Ok(Arc::clone(resident));
         }
         report.misses += 1;
-        let resident = build_sparse_resident(operand.matrix(), self.w)?;
+        let resident = build_sparse_resident(matrix, self.w)?;
         let cycles = resident.band.rows() * resident.band.bandwidth();
         self.lru.note_staged(cycles);
         report.staging_cycles += cycles;
-        report.note_staged(operand.key());
+        report.note_staged(operand);
         let arc = Arc::new(resident);
         self.insert(key, ResidentBand::Sparse(Arc::clone(&arc)), report);
         Ok(arc)
@@ -488,9 +505,22 @@ fn check_cache_w<T: Scalar>(station: &ArrayStation<T>, cache: &BandCache<T>) {
     );
 }
 
-/// One matrix–matrix problem of a resident batch, by reference.
+/// Runs one serve on a new station over a capacity-0 cache and drops the
+/// staging report.  A "fresh" solve is a resident solve whose cache keeps
+/// nothing, so the `multiply_*` wrappers run exactly the serving code.
+pub(crate) fn fresh<T: Scalar, R>(
+    w: usize,
+    serve: impl FnOnce(&mut ArrayStation<T>, &mut BandCache<T>) -> Result<(R, StagingReport), DbtError>,
+) -> Result<R, DbtError> {
+    if w == 0 {
+        return Err(DbtError::ZeroArraySize);
+    }
+    Ok(serve(&mut ArrayStation::new(w)?, &mut BandCache::new(w, 0))?.0)
+}
+
+/// One matrix–matrix problem of a lane batch, by reference.
 #[derive(Debug, Clone, Copy)]
-pub struct MmResidentProblem<'a, T: Scalar> {
+pub struct MmProblem<'a, T: Scalar> {
     /// Left operand.
     pub a: &'a OperandRef<T>,
     /// Right operand.
@@ -499,33 +529,96 @@ pub struct MmResidentProblem<'a, T: Scalar> {
     pub e: Option<&'a DenseMatrix<T>>,
 }
 
+/// One matrix–vector problem of a lane batch, by reference.
+#[derive(Debug, Clone, Copy)]
+pub struct MvProblem<'a, T: Scalar> {
+    /// The matrix `A`.
+    pub a: &'a OperandRef<T>,
+    /// The vector `x`.
+    pub x: &'a [T],
+    /// Optional additive vector `b` of `y = A·x + b`.
+    pub b: Option<&'a [T]>,
+}
+
 /// Assembles the transformed job of one MM problem from the cache: three
 /// `Arc` bumps on a full hit, band builds on misses.
-fn mm_job_from_cache<T: Scalar>(
+fn mm_job<T: Scalar>(
     cache: &mut BandCache<T>,
-    a: &OperandRef<T>,
-    b: &OperandRef<T>,
+    schedule: &MmSchedule<T>,
+    a: Keyed<'_, T>,
+    b: Keyed<'_, T>,
     e: Option<&DenseMatrix<T>>,
-    shape: MmShape,
     report: &mut StagingReport,
-) -> Result<(HexJob<T>, Arc<MmSchedule<T>>), DbtError> {
-    let schedule = cache.mm_schedule(shape)?;
-    let a_band = cache.mm_band(BandRole::MmLeft, a, shape, report)?;
-    let b_band = cache.mm_band(BandRole::MmRight, b, shape, report)?;
-    let job = HexJob {
-        a: a_band,
-        b: b_band,
+) -> Result<HexJob<T>, DbtError> {
+    Ok(HexJob {
+        a: cache.mm_band(BandRole::MmLeft, a, schedule.shape, report)?,
+        b: cache.mm_band(BandRole::MmRight, b, schedule.shape, report)?,
         c_injections: schedule.injections_for(e),
-    };
-    Ok((job, schedule))
+    })
+}
+
+/// The operands of one MM lane, as the cache looks them up: `A`, `B` and
+/// the optional additive term `E`.
+pub(crate) type MmLane<'a, T> = (Keyed<'a, T>, Keyed<'a, T>, Option<&'a DenseMatrix<T>>);
+
+/// The operands of one MV lane: `A`, `x` and the optional additive `b`.
+pub(crate) type MvLane<'a, T> = (Keyed<'a, T>, &'a [T], Option<&'a [T]>);
+
+/// The solo form of a one-lane pass's result.
+pub(crate) fn solo<O>((mut outcomes, reports): (Vec<O>, Vec<StagingReport>)) -> (O, StagingReport) {
+    (outcomes.pop().expect("one lane, one outcome"), reports[0])
+}
+
+/// The one MM serve path that returns full outcomes: same-shape lanes in
+/// lane-parallel passes of at most [`crate::MAX_LANES`], each lane's bands
+/// looked up (or staged) in the cache.  A solo serve is a one-lane pass.
+pub(crate) fn serve_mm_lanes<T: Scalar>(
+    station: &mut ArrayStation<T>,
+    cache: &mut BandCache<T>,
+    lanes: &[MmLane<'_, T>],
+) -> Result<(Vec<MmOutcome<T>>, Vec<StagingReport>), DbtError> {
+    check_cache_w(station, cache);
+    let w = station.size();
+    let mut outcomes = Vec::with_capacity(lanes.len());
+    let mut reports = Vec::with_capacity(lanes.len());
+    for chunk in lanes.chunks(crate::MAX_LANES) {
+        // Lane mates share one problem shape, so the shape-only schedule
+        // (injections and extraction map) serves the whole chunk; only the
+        // operand bands and any additive term's literals are per lane.
+        let ((a, b, e), rest) = chunk.split_first().expect("chunks are non-empty");
+        let shape = validate_mm_args(a.1, b.1, *e, w)?;
+        for (lane, (a, b, e)) in rest.iter().enumerate() {
+            if validate_mm_args(a.1, b.1, *e, w)? != shape {
+                return Err(DbtError::Sim(SimError::LaneMismatch {
+                    lane: lane + 1,
+                    what: "problem shape",
+                }));
+            }
+        }
+        let schedule = cache.mm_schedule(shape)?;
+        let mut jobs = Vec::with_capacity(chunk.len());
+        for &(a, b, e) in chunk {
+            let mut report = StagingReport::default();
+            jobs.push(mm_job(cache, &schedule, a, b, e, &mut report)?);
+            reports.push(report);
+        }
+        let scratch = station.run_hex_lanes(&jobs)?;
+        // One summary per pass: lanes share the feedback schedule, and the
+        // summary's event list is behind an `Arc`, so each copy is O(1).
+        let feedback = scratch.feedback_summary();
+        for lane in 0..chunk.len() {
+            outcomes.push(schedule.complete(scratch, lane, feedback.clone()));
+        }
+    }
+    Ok((outcomes, reports))
 }
 
 /// Computes `C = A·B + E` through the station's resident band cache,
 /// returning the full outcome plus what the serve staged.
 ///
-/// Bit-identical to [`crate::multiply_mm_on`]: a staged band is built by
-/// the same constructors, a resident band *is* the band a previous serve
-/// built, and simulation/extraction are shared code.
+/// [`crate::multiply_mm`] is this serve over a capacity-0 cache: a staged
+/// band is built by the same constructors, a resident band *is* the band a
+/// previous serve built, and simulation/extraction are shared code.
 ///
 /// # Errors
 ///
@@ -537,13 +630,7 @@ pub fn multiply_mm_resident_on<T: Scalar>(
     b: &OperandRef<T>,
     e: Option<&DenseMatrix<T>>,
 ) -> Result<(MmOutcome<T>, StagingReport), DbtError> {
-    check_cache_w(station, cache);
-    let shape = validate_mm_args(a.matrix(), b.matrix(), e, station.size())?;
-    let mut report = StagingReport::default();
-    let (job, schedule) = mm_job_from_cache(cache, a, b, e, shape, &mut report)?;
-    let scratch = station.run_hex(&job)?;
-    let feedback = scratch.feedback_summary();
-    Ok((schedule.complete(scratch, 0, feedback), report))
+    serve_mm_lanes(station, cache, &[(a.keyed(), b.keyed(), e)]).map(solo)
 }
 
 /// Computes `C = A·B + E` through the resident cache into a caller-provided
@@ -570,7 +657,8 @@ pub fn multiply_mm_resident_into<T: Scalar>(
     check_cache_w(station, cache);
     let shape = validate_mm_args(a.matrix(), b.matrix(), e, station.size())?;
     let mut report = StagingReport::default();
-    let (job, schedule) = mm_job_from_cache(cache, a, b, e, shape, &mut report)?;
+    let schedule = cache.mm_schedule(shape)?;
+    let job = mm_job(cache, &schedule, a.keyed(), b.keyed(), e, &mut report)?;
     let scratch = station.run_hex(&job)?;
     out.reset(shape.n, shape.m);
     let cycles = schedule.complete_into(scratch, 0, out);
@@ -578,54 +666,83 @@ pub fn multiply_mm_resident_into<T: Scalar>(
 }
 
 /// Computes a batch of **same-shape** `C = A·B + E` products through the
-/// resident cache in lane-parallel array passes — the resident counterpart
-/// of [`crate::multiply_mm_lanes_on`], with one [`StagingReport`] per
-/// problem (lane mates sharing an operand hit what their predecessor lane
-/// staged).
+/// resident cache in lane-parallel array passes: up to
+/// [`crate::MAX_LANES`] problems share each pass, one value lane per
+/// problem, so the pass costs one tape replay instead of `L`.  The serving
+/// runtime routes coalesced batches (same-shape by construction) through
+/// here.
+///
+/// Outcomes are bit-identical to per-problem [`crate::multiply_mm`] calls,
+/// in problem order, and each problem is billed the pass's full modeled
+/// cycle count — identical to its solo cost, so closed-form predictions are
+/// unchanged.  Each problem gets its own [`StagingReport`]: lane mates
+/// sharing an operand hit what their predecessor lane staged.
 ///
 /// # Errors
 ///
-/// The errors of [`crate::multiply_mm_lanes_on`].
+/// The errors of [`crate::multiply_mm`] per problem, plus
+/// [`SimError::LaneMismatch`] (via [`DbtError::Sim`]) if the problems do
+/// not all share one shape.
 pub fn multiply_mm_resident_lanes_on<T: Scalar>(
     station: &mut ArrayStation<T>,
     cache: &mut BandCache<T>,
-    problems: &[MmResidentProblem<'_, T>],
+    problems: &[MmProblem<'_, T>],
 ) -> Result<(Vec<MmOutcome<T>>, Vec<StagingReport>), DbtError> {
+    let lanes: Vec<MmLane<'_, T>> = problems
+        .iter()
+        .map(|p| (p.a.keyed(), p.b.keyed(), p.e))
+        .collect();
+    serve_mm_lanes(station, cache, &lanes)
+}
+
+/// The one MV serve path, the twin of [`serve_mm_lanes`]: each lane's
+/// transformation(s) are looked up (or staged) for the effective schedule
+/// and fed that lane's `x` and `b`.  The overlapped schedule's
+/// single-block-row fallback is part of the cache role, so a fallback serve
+/// and an overlapped serve never share an artifact by accident.
+pub(crate) fn serve_mv_lanes<T: Scalar>(
+    station: &mut ArrayStation<T>,
+    cache: &mut BandCache<T>,
+    lanes: &[MvLane<'_, T>],
+    schedule: MvSchedule,
+) -> Result<(Vec<MvOutcome<T>>, Vec<StagingReport>), DbtError> {
     check_cache_w(station, cache);
-    let w = station.size();
-    let mut outcomes = Vec::with_capacity(problems.len());
-    let mut reports = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(crate::MAX_LANES) {
-        if chunk.len() == 1 {
-            let p = chunk[0];
-            let (outcome, report) = multiply_mm_resident_on(station, cache, p.a, p.b, p.e)?;
-            outcomes.push(outcome);
-            reports.push(report);
-            continue;
-        }
-        let shape = validate_mm_args(chunk[0].a.matrix(), chunk[0].b.matrix(), chunk[0].e, w)?;
-        for (lane, p) in chunk.iter().enumerate().skip(1) {
-            if validate_mm_args(p.a.matrix(), p.b.matrix(), p.e, w)? != shape {
-                return Err(DbtError::Sim(SimError::LaneMismatch {
-                    lane,
-                    what: "problem shape",
-                }));
-            }
-        }
-        let mut jobs = Vec::with_capacity(chunk.len());
-        let mut schedule = None;
-        for p in chunk {
+    let mut outcomes = Vec::with_capacity(lanes.len());
+    let mut reports = Vec::with_capacity(lanes.len());
+    for chunk in lanes.chunks(crate::MAX_LANES) {
+        let mut staged = Vec::with_capacity(chunk.len());
+        for &(a, x, b) in chunk {
+            let shape = validate_mv_args(a.1, x, b, cache.w)?;
+            let role = if schedule == MvSchedule::Overlapped && overlap_splittable(shape) {
+                BandRole::MvOverlapped
+            } else {
+                BandRole::MvSimple
+            };
             let mut report = StagingReport::default();
-            let (job, sched) = mm_job_from_cache(cache, p.a, p.b, p.e, shape, &mut report)?;
-            jobs.push(job);
+            let dbts = cache.mv_dbts(role, a, shape, &mut report)?;
             reports.push(report);
-            schedule = Some(sched);
+            // Each transformation covers a contiguous run of A's rows and
+            // is fed the matching slice of `b`.
+            let mut row = 0;
+            let streams = dbts
+                .iter()
+                .map(|dbt| {
+                    let rows = dbt.original_shape().0;
+                    let b_part = b.map(|b| &b[row..row + rows]);
+                    row += rows;
+                    Ok(MvStream {
+                        band: dbt.band_shared(),
+                        x: dbt.transform_x(x)?,
+                        y_injections: dbt.y_injections(b_part)?,
+                    })
+                })
+                .collect::<Result<Vec<_>, DbtError>>()?;
+            staged.push((shape, dbts, streams));
         }
-        let schedule = schedule.expect("chunk is non-empty");
-        let scratch = station.run_hex_lanes(&jobs)?;
-        let feedback = scratch.feedback_summary();
-        for lane in 0..chunk.len() {
-            outcomes.push(schedule.complete(scratch, lane, feedback.clone()));
+        let jobs: Vec<&[MvStream<T>]> = staged.iter().map(|(_, _, s)| s.as_slice()).collect();
+        let scratch = station.run_mv_lanes(&jobs)?;
+        for (lane, (shape, dbts, _)) in staged.iter().enumerate() {
+            outcomes.push(complete_mv_lane(dbts, *shape, schedule, scratch, lane)?);
         }
     }
     Ok((outcomes, reports))
@@ -633,10 +750,8 @@ pub fn multiply_mm_resident_lanes_on<T: Scalar>(
 
 /// Computes `y = A·x + b` through the station's resident band cache.
 ///
-/// Bit-identical to [`crate::multiply_mv_on`] for both schedules, including
-/// the overlapped schedule's single-block-row fallback (the fallback rule
-/// is part of the cache role, so a fallback serve and an overlapped serve
-/// never share an artifact by accident).
+/// [`crate::multiply_mv`] is this serve over a capacity-0 cache, for both
+/// schedules and the overlapped schedule's single-block-row fallback.
 ///
 /// # Errors
 ///
@@ -649,50 +764,49 @@ pub fn multiply_mv_resident_on<T: Scalar>(
     b: Option<&[T]>,
     schedule: MvSchedule,
 ) -> Result<(MvOutcome<T>, StagingReport), DbtError> {
+    serve_mv_lanes(station, cache, &[(a.keyed(), x, b)], schedule).map(solo)
+}
+
+/// Computes a batch of **same-shape** `y = A·x + b` products through the
+/// resident cache in lane-parallel array passes — the matrix–vector twin
+/// of [`multiply_mm_resident_lanes_on`], with the same billing, ordering
+/// and per-problem [`StagingReport`]s.
+///
+/// # Errors
+///
+/// The errors of [`crate::multiply_mv`] per problem, plus
+/// [`SimError::LaneMismatch`] (via [`DbtError::Sim`]) if the problems do
+/// not all share one shape.
+pub fn multiply_mv_resident_lanes_on<T: Scalar>(
+    station: &mut ArrayStation<T>,
+    cache: &mut BandCache<T>,
+    problems: &[MvProblem<'_, T>],
+    schedule: MvSchedule,
+) -> Result<(Vec<MvOutcome<T>>, Vec<StagingReport>), DbtError> {
+    let lanes: Vec<MvLane<'_, T>> = problems.iter().map(|p| (p.a.keyed(), p.x, p.b)).collect();
+    serve_mv_lanes(station, cache, &lanes, schedule)
+}
+
+/// The block-sparse serve behind [`multiply_mv_block_sparse_resident_on`]
+/// and [`crate::sparse::multiply_mv_block_sparse`].
+pub(crate) fn serve_sparse<T: Scalar>(
+    station: &mut ArrayStation<T>,
+    cache: &mut BandCache<T>,
+    a: Keyed<'_, T>,
+    x: &[T],
+    b: Option<&[T]>,
+) -> Result<(SparseMvOutcome<T>, StagingReport), DbtError> {
     check_cache_w(station, cache);
-    let w = station.size();
-    let shape = validate_mv_args(a.matrix(), x, b, w)?;
+    let shape = validate_mv_args(a.1, x, b, station.size())?;
     let mut report = StagingReport::default();
-    let overlapped = schedule == MvSchedule::Overlapped && overlap_splittable(shape);
-    let role = if overlapped {
-        BandRole::MvOverlapped
-    } else {
-        BandRole::MvSimple
-    };
-    let dbts = cache.mv_dbts(role, a, shape, &mut report)?;
-    let streams: Vec<MvStream<T>> = if overlapped {
-        let split_rows = (shape.nbar() / 2) * w;
-        let zero = vec![T::zero(); a.matrix().rows()];
-        let b_full = b.unwrap_or(&zero);
-        let (b_top, b_bottom) = b_full.split_at(split_rows.min(b_full.len()));
-        vec![
-            MvStream {
-                band: dbts[0].band_shared(),
-                x: dbts[0].transform_x(x)?,
-                y_injections: dbts[0].y_injections(Some(b_top))?,
-            },
-            MvStream {
-                band: dbts[1].band_shared(),
-                x: dbts[1].transform_x(x)?,
-                y_injections: dbts[1].y_injections(Some(b_bottom))?,
-            },
-        ]
-    } else {
-        vec![MvStream {
-            band: dbts[0].band_shared(),
-            x: dbts[0].transform_x(x)?,
-            y_injections: dbts[0].y_injections(b)?,
-        }]
-    };
-    let scratch = station.run_mv(&streams)?;
-    let outcome = complete_mv_lane(&dbts[..], shape, schedule, scratch, 0)?;
+    let resident = cache.sparse(a, &mut report)?;
+    let outcome = serve_sparse_resident(station, &resident, x, b, shape)?;
     Ok((outcome, report))
 }
 
 /// Computes block-sparse `y = A·x + b` through the station's resident band
-/// cache.  Bit-identical to [`crate::sparse::multiply_mv_block_sparse_on`]:
-/// the fresh path builds the same artifacts and serves through the same
-/// code.
+/// cache; [`crate::sparse::multiply_mv_block_sparse`] is this serve over a
+/// capacity-0 cache.
 ///
 /// # Errors
 ///
@@ -704,19 +818,14 @@ pub fn multiply_mv_block_sparse_resident_on<T: Scalar>(
     x: &[T],
     b: Option<&[T]>,
 ) -> Result<(SparseMvOutcome<T>, StagingReport), DbtError> {
-    check_cache_w(station, cache);
-    let shape = validate_mv_args(a.matrix(), x, b, station.size())?;
-    let mut report = StagingReport::default();
-    let resident = cache.sparse(a, &mut report)?;
-    let outcome = serve_sparse_resident(station, &resident, x, b, shape)?;
-    Ok((outcome, report))
+    serve_sparse(station, cache, a.keyed(), x, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::{multiply_mv_block_sparse_on, plan_block_sparse};
-    use crate::{multiply_mm_on, multiply_mv_on};
+    use crate::sparse::{multiply_mv_block_sparse, plan_block_sparse};
+    use crate::{multiply_mm, multiply_mv};
     use sia_matrix::gen;
 
     #[test]
@@ -743,7 +852,7 @@ mod tests {
         let mut cache = BandCache::new(w, 8);
         let a = OperandRef::named(1, gen::random_dense_i64(4, 6, 4, 11));
         let b = OperandRef::named(2, gen::random_dense_i64(6, 4, 4, 12));
-        let fresh = multiply_mm_on(&mut station, a.matrix(), b.matrix(), None).unwrap();
+        let fresh = multiply_mm(a.matrix(), b.matrix(), None, w).unwrap();
         let (cold, cold_report) = multiply_mm_resident_on(&mut station, &mut cache, &a, &b, None)
             .expect("cold resident serve");
         assert_eq!(cold.c, fresh.c);
@@ -771,7 +880,7 @@ mod tests {
         let mut cache = BandCache::new(w, 8);
         let a = OperandRef::named(1, gen::random_dense_i64(4, 4, 4, 21));
         let b = OperandRef::named(2, gen::random_dense_i64(4, 4, 4, 22));
-        let fresh = multiply_mm_on(&mut station, a.matrix(), b.matrix(), None).unwrap();
+        let fresh = multiply_mm(a.matrix(), b.matrix(), None, w).unwrap();
         let mut out = DenseMatrix::zeros(1, 1);
         let (cycles, _) =
             multiply_mm_resident_into(&mut station, &mut cache, &a, &b, None, &mut out).unwrap();
@@ -824,7 +933,7 @@ mod tests {
             let a = OperandRef::named(7, gen::random_dense_i64(12, 9, 5, 41));
             let x = gen::random_vector_i64(9, 5, 42);
             let b = gen::random_vector_i64(12, 5, 43);
-            let fresh = multiply_mv_on(&mut station, a.matrix(), &x, Some(&b), schedule).unwrap();
+            let fresh = multiply_mv(a.matrix(), &x, Some(&b), w, schedule).unwrap();
             let (cold, cold_report) =
                 multiply_mv_resident_on(&mut station, &mut cache, &a, &x, Some(&b), schedule)
                     .unwrap();
@@ -851,7 +960,7 @@ mod tests {
         let a = OperandRef::named(9, matrix.clone());
         let x = gen::random_vector_f64(12, 52);
         let b = gen::random_vector_f64(12, 53);
-        let fresh = multiply_mv_block_sparse_on(&mut station, &matrix, &x, Some(&b)).unwrap();
+        let fresh = multiply_mv_block_sparse(&matrix, &x, Some(&b), w).unwrap();
         let (cold, cold_report) =
             multiply_mv_block_sparse_resident_on(&mut station, &mut cache, &a, &x, Some(&b))
                 .unwrap();
@@ -875,7 +984,7 @@ mod tests {
         let mut cache = BandCache::new(w, 0);
         let a = OperandRef::named(1, gen::random_dense_i64(4, 4, 4, 61));
         let b = OperandRef::named(2, gen::random_dense_i64(4, 4, 4, 62));
-        let fresh = multiply_mm_on(&mut station, a.matrix(), b.matrix(), None).unwrap();
+        let fresh = multiply_mm(a.matrix(), b.matrix(), None, w).unwrap();
         for _ in 0..2 {
             let (outcome, report) =
                 multiply_mm_resident_on(&mut station, &mut cache, &a, &b, None).unwrap();
@@ -894,9 +1003,9 @@ mod tests {
         let mut cache = BandCache::new(w, 8);
         let a = OperandRef::named(1, gen::random_dense_i64(4, 4, 4, 71));
         let b = OperandRef::named(2, gen::random_dense_i64(4, 4, 4, 72));
-        let solo = multiply_mm_on(&mut station, a.matrix(), b.matrix(), None).unwrap();
+        let solo = multiply_mm(a.matrix(), b.matrix(), None, w).unwrap();
         let problems = vec![
-            MmResidentProblem {
+            MmProblem {
                 a: &a,
                 b: &b,
                 e: None

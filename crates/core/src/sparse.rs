@@ -11,6 +11,7 @@
 //! feedback chain between the surviving blocks of a row group is preserved,
 //! so the result is still accumulated entirely inside the array.
 
+use crate::resident::{fresh, serve_sparse, transient};
 use crate::{DbtError, MvOutcome, MvSchedule};
 use sia_matrix::{triangular, vector, BandMatrix, BlockGrid, DenseMatrix, Scalar};
 use sia_sim::{ArrayStation, MvStream, YInjection};
@@ -143,7 +144,9 @@ fn plan_with_grid<T: Scalar>(a: &DenseMatrix<T>, grid: &BlockGrid, w: usize) -> 
 
 /// Computes `y = A·x + b` skipping the all-zero `w × w` blocks of `A`.
 ///
-/// Rows whose entire block row is zero still produce `y_i = b_i`.
+/// Rows whose entire block row is zero still produce `y_i = b_i`.  This is
+/// [`crate::multiply_mv_block_sparse_resident_on`] on a new station over a
+/// capacity-0 [`crate::BandCache`].
 ///
 /// # Errors
 ///
@@ -154,30 +157,9 @@ pub fn multiply_mv_block_sparse<T: Scalar>(
     b: Option<&[T]>,
     w: usize,
 ) -> Result<SparseMvOutcome<T>, DbtError> {
-    if w == 0 {
-        return Err(DbtError::ZeroArraySize);
-    }
-    multiply_mv_block_sparse_on(&mut ArrayStation::new(w)?, a, x, b)
-}
-
-/// Computes `y = A·x + b` skipping all-zero blocks, on a **caller-owned**
-/// array station (the serving runtime keeps one station per worker; the
-/// run reuses its warm workspace and records its steps structurally).
-///
-/// # Errors
-///
-/// Same as [`multiply_mv_block_sparse`], with the array size taken from
-/// `station`.
-pub fn multiply_mv_block_sparse_on<T: Scalar>(
-    station: &mut ArrayStation<T>,
-    a: &DenseMatrix<T>,
-    x: &[T],
-    b: Option<&[T]>,
-) -> Result<SparseMvOutcome<T>, DbtError> {
-    let w = station.size();
-    let shape = crate::validate_mv_args(a, x, b, w)?;
-    let resident = build_sparse_resident(a, w)?;
-    serve_sparse_resident(station, &resident, x, b, shape)
+    fresh(w, |station, cache| {
+        serve_sparse(station, cache, transient(a), x, b)
+    })
 }
 
 /// The operand-only half of a block-sparse problem: the shortened band, the
@@ -272,9 +254,7 @@ pub(crate) fn build_sparse_resident<T: Scalar>(
     })
 }
 
-/// Serves one `(x, b)` pair against prebuilt block-sparse artifacts.  The
-/// fresh path above routes through here too, so cached serving is
-/// structurally bit-identical to fresh serving.
+/// Serves one `(x, b)` pair against prebuilt block-sparse artifacts.
 pub(crate) fn serve_sparse_resident<T: Scalar>(
     station: &mut ArrayStation<T>,
     resident: &SparseResident<T>,
@@ -320,7 +300,7 @@ pub(crate) fn serve_sparse_resident<T: Scalar>(
     };
     let scratch = station.run_mv(&[stream])?;
     let mut y_hat = vec![T::zero(); rows];
-    let produced = scratch.collect_y_into(0, &mut y_hat);
+    let produced = scratch.collect_y_lane_into(0, 0, &mut y_hat);
     // Same guard as the dense path: an incomplete run must error loudly,
     // never read as zeros.
     if produced != rows {

@@ -11,13 +11,14 @@
 //! job whose absolute deadline has already passed when a worker picks it
 //! up is **shed** (resolved to [`FarmError::DeadlineExceeded`]) without
 //! consuming a single array step.  **Every** job that does run —
-//! singly-served dense jobs, coalesced batches (`multiply_*_batch_on`) and
-//! extension jobs (`solve_*_on`, `gauss_seidel_on`) — runs through the
-//! `_on` solver entry points on the worker's own persistent
-//! [`ArrayStation`], which owns the arrays *and* their run workspaces:
-//! steady-state serving performs no engine allocation (the scratches are
-//! cleared, not freed, between jobs), and every array step is attributed
-//! to the station structurally, by the run itself.
+//! singly-served dense jobs, coalesced batches (the resident lane solvers
+//! `multiply_*_resident_lanes_on`) and extension jobs (`solve_*_on`,
+//! `gauss_seidel_on`) — runs through the `_on` solver entry points on the
+//! worker's own persistent [`ArrayStation`], which owns the arrays *and*
+//! their run workspaces: steady-state serving performs no engine
+//! allocation (the scratches are cleared, not freed, between jobs), and
+//! every array step is attributed to the station structurally, by the run
+//! itself.
 
 use crate::cost::CostModel;
 use crate::error::FarmError;
@@ -29,9 +30,9 @@ use crate::telemetry::{FarmTelemetry, TenantServed, TenantTelemetry, WorkerTelem
 use crate::trace::{JobEvent, JobEventKind};
 use sia_dbt::ext::{gauss_seidel_on, solve_lower_on, solve_upper_on};
 use sia_dbt::{
-    multiply_mm_resident_into, multiply_mm_resident_lanes_on, multiply_mv_batch_on,
-    multiply_mv_block_sparse_resident_on, multiply_mv_lanes_on, multiply_mv_resident_on, BandCache,
-    DbtError, MmResidentProblem, MvOutcome, MvProblem, MvSchedule, StagingReport,
+    multiply_mm_resident_into, multiply_mm_resident_lanes_on, multiply_mv_block_sparse_resident_on,
+    multiply_mv_resident_lanes_on, multiply_mv_resident_on, BandCache, DbtError, MmProblem,
+    MvProblem, StagingReport,
 };
 use sia_sim::ArrayStation;
 use std::fmt;
@@ -57,9 +58,10 @@ pub struct FarmConfig {
     /// default) serves a coalesced batch as sequential per-job runs, while
     /// `L > 1` executes up to `L` shape-mates in **one** lane-parallel pass
     /// (one injection-tape replay, one value lane per job — see
-    /// [`sia_dbt::multiply_mm_lanes_on`]).  Lane results are bit-identical
-    /// to sequential serving and every member is billed its solo modeled
-    /// cycle count, so predictions stay exact; only wall time changes.
+    /// [`sia_dbt::multiply_mm_resident_lanes_on`]).  Lane results are
+    /// bit-identical to sequential serving and every member is billed its
+    /// solo modeled cycle count, so predictions stay exact; only wall time
+    /// changes.
     /// Values above [`sia_dbt::MAX_LANES`] are served in passes of
     /// [`sia_dbt::MAX_LANES`].
     pub lanes: usize,
@@ -887,55 +889,38 @@ fn deliver_error(job: QueuedJob, error: DbtError, log: &mut WorkerTelemetry, obs
     job.reply.resolve(Err(FarmError::Execution(error)));
 }
 
-/// Runs a coalesced matrix–matrix batch in lane-parallel passes of at most
-/// `lanes` jobs each (coalesced members are same-shape by construction, so
-/// every pass is a valid lane batch), serving from the worker's resident
-/// band cache.  A single-lane pass degrades to the solo resident path, so
-/// `lanes == 1` keeps the old sequential batch semantics.
-fn serve_mm_lanes(
-    station: &mut ArrayStation,
-    cache: &mut BandCache,
-    problems: &[MmResidentProblem<'_, f64>],
-    lanes: usize,
-) -> Result<(Vec<sia_dbt::MmOutcome<f64>>, Vec<StagingReport>), DbtError> {
-    let mut outcomes = Vec::with_capacity(problems.len());
-    let mut reports = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(lanes) {
-        let (chunk_outcomes, chunk_reports) = multiply_mm_resident_lanes_on(station, cache, chunk)?;
-        outcomes.extend(chunk_outcomes);
-        reports.extend(chunk_reports);
-    }
-    Ok((outcomes, reports))
-}
-
-/// The matrix–vector counterpart of [`serve_mm_lanes`].
-fn serve_mv_lanes(
-    station: &mut ArrayStation,
-    problems: &[MvProblem<'_, f64>],
-    schedule: MvSchedule,
-    lanes: usize,
-) -> Result<Vec<MvOutcome<f64>>, DbtError> {
-    let mut outcomes = Vec::with_capacity(problems.len());
-    for chunk in problems.chunks(lanes) {
-        outcomes.extend(multiply_mv_lanes_on(station, chunk, schedule)?);
-    }
-    Ok(outcomes)
-}
-
-/// Serves a coalesced batch of same-shape dense jobs through the
-/// station-owned batch solvers: sequential per-job runs
-/// (`multiply_*_batch_on`) when `lanes == 1`, lane-parallel passes
-/// (`multiply_*_lanes_on`, up to `lanes` jobs per array pass) otherwise.
-/// Either way the whole batch reuses the worker's warm workspace, its steps
-/// land on the station structurally, and outcomes are bit-identical to
-/// per-job runs.  Each member's receipt gets the batch span *attributed* by
-/// its measured-cycle share (so per-job service aggregates sum to the real
-/// span instead of multiply-counting it) and carries the raw span in
-/// `batch_service`.
 /// What a coalesced batch's lane solvers return: per-member `(cycles,
 /// output)` pairs plus each member's staging report, or the shared error.
 type CoalescedOutcome = Result<(Vec<(usize, JobOutput)>, Vec<StagingReport>), DbtError>;
 
+/// Serves `problems` in lane passes of at most `lanes` members through
+/// `pass` (a resident lane solver), collecting each member's `(cycles,
+/// output)` and staging report in problem order.
+fn in_passes<P, O>(
+    problems: &[P],
+    lanes: usize,
+    mut pass: impl FnMut(&[P]) -> Result<(Vec<O>, Vec<StagingReport>), DbtError>,
+    output: impl Fn(O) -> (usize, JobOutput),
+) -> CoalescedOutcome {
+    let mut outputs = Vec::with_capacity(problems.len());
+    let mut reports = Vec::with_capacity(problems.len());
+    for chunk in problems.chunks(lanes) {
+        let (outcomes, chunk_reports) = pass(chunk)?;
+        outputs.extend(outcomes.into_iter().map(&output));
+        reports.extend(chunk_reports);
+    }
+    Ok((outputs, reports))
+}
+
+/// Serves a coalesced batch of same-shape dense jobs through the worker's
+/// resident band cache in lane-parallel passes of up to `lanes` members
+/// (`lanes == 1` runs one member per pass).  The whole batch reuses the
+/// worker's warm workspace, its steps land on the station structurally,
+/// and outcomes are bit-identical to per-job runs.  Each member's receipt
+/// carries its own staging report, gets the batch span *attributed* by its
+/// measured-cycle share (so per-job service aggregates sum to the real
+/// span instead of multiply-counting it), and carries the raw span in
+/// `batch_service`.
 #[allow(clippy::too_many_arguments)]
 fn serve_coalesced(
     worker: usize,
@@ -948,10 +933,10 @@ fn serve_coalesced(
     log: &mut WorkerTelemetry,
     obs: &mut Obs<'_>,
 ) {
-    // Lane-occupancy accounting mirrors the `.chunks(lanes)` split of the
-    // lane servers below: `lanes > 1` packs up to `lanes` members per
-    // array pass (each member gets a `LanePacked` event); `lanes == 1`
-    // serves the batch as sequential solo passes.
+    // Lane-occupancy accounting mirrors the `.chunks(lanes)` split of
+    // `in_passes` below: `lanes > 1` packs up to `lanes` members per array
+    // pass (each member gets a `LanePacked` event); `lanes == 1` serves the
+    // batch as sequential solo passes.
     let per_pass = lanes.max(1);
     for chunk in batch.chunks(per_pass) {
         if obs.farm.metrics {
@@ -963,12 +948,12 @@ fn serve_coalesced(
             }
         }
     }
-    let outcome: CoalescedOutcome = match &batch[0].job {
+    let outcome = match &batch[0].job {
         Job::DenseMm { .. } => {
-            let problems: Vec<MmResidentProblem<'_, f64>> = batch
+            let problems: Vec<MmProblem<'_, f64>> = batch
                 .iter()
                 .map(|qj| match &qj.job {
-                    Job::DenseMm { a, b, e } => MmResidentProblem {
+                    Job::DenseMm { a, b, e } => MmProblem {
                         a,
                         b,
                         e: e.as_ref(),
@@ -976,44 +961,31 @@ fn serve_coalesced(
                     _ => unreachable!("coalesce keys only group same-kind jobs"),
                 })
                 .collect();
-            serve_mm_lanes(station, cache, &problems, lanes.max(1)).map(|(outcomes, reports)| {
-                (
-                    outcomes
-                        .into_iter()
-                        .map(|o| (o.cycles, JobOutput::Matrix(o.c)))
-                        .collect(),
-                    reports,
-                )
-            })
+            in_passes(
+                &problems,
+                per_pass,
+                |chunk| multiply_mm_resident_lanes_on(station, cache, chunk),
+                |o| (o.cycles, JobOutput::Matrix(o.c)),
+            )
         }
         Job::DenseMv { schedule, .. } => {
-            let schedule = *schedule;
             let problems: Vec<MvProblem<'_, f64>> = batch
                 .iter()
                 .map(|qj| match &qj.job {
                     Job::DenseMv { a, x, b, .. } => MvProblem {
-                        a: a.matrix(),
+                        a,
                         x,
                         b: b.as_deref(),
                     },
                     _ => unreachable!("coalesce keys only group same-kind jobs"),
                 })
                 .collect();
-            let outcomes = if lanes > 1 {
-                serve_mv_lanes(station, &problems, schedule, lanes)
-            } else {
-                multiply_mv_batch_on(station, &problems, schedule)
-            };
-            outcomes.map(|outcomes| {
-                let reports = vec![StagingReport::default(); outcomes.len()];
-                (
-                    outcomes
-                        .into_iter()
-                        .map(|o| (o.cycles, JobOutput::Vector(o.y)))
-                        .collect(),
-                    reports,
-                )
-            })
+            in_passes(
+                &problems,
+                per_pass,
+                |chunk| multiply_mv_resident_lanes_on(station, cache, chunk, *schedule),
+                |o| (o.cycles, JobOutput::Vector(o.y)),
+            )
         }
         _ => unreachable!("only dense MM/MV jobs carry a coalesce key"),
     };

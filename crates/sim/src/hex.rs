@@ -40,8 +40,8 @@
 //!
 //! Since the zero-allocation rework, every per-run buffer lives in a
 //! reusable [`HexScratch`] workspace that is **cleared, not freed**, between
-//! runs: [`HexArray::run_with`] performs no heap allocation once the scratch
-//! is warm.  The register planes are **struct-of-arrays** (value planes,
+//! runs: [`HexArray::run_lanes_with`] performs no heap allocation once the
+//! scratch is warm.  The register planes are **struct-of-arrays** (value planes,
 //! occupancy bitmask planes and index planes, see `crate::plane`) so the
 //! wavefront scan tests one occupancy bit per cell instead of matching
 //! `Option` discriminants, and the cycle loop **fast-forwards** over idle
@@ -51,7 +51,6 @@
 //! original shift-everything engine; the equivalence suite in
 //! `tests/properties.rs` holds it to the paper's closed forms.
 
-use crate::batch::par_map_with;
 use crate::plane::{mac_lanes, reset_vec, BitPlane};
 use crate::report::{FeedbackEvent, FeedbackSummary, Utilization};
 use crate::tape::Tape;
@@ -82,9 +81,9 @@ pub type CInjectionSchedule<T> = Arc<Vec<((usize, usize), CInjection<T>)>>;
 /// One band matrix–matrix multiplication job.
 ///
 /// The operands are shared ([`Arc`]) so that jobs can be constructed without
-/// cloning band storage and fanned out across threads by
-/// [`HexArray::run_batch`]; owned matrices convert implicitly through
-/// [`HexJob::product`] or `.into()`.
+/// cloning band storage (a resident band backs every job that uses it);
+/// owned matrices convert implicitly through [`HexJob::product`] or
+/// `.into()`.
 #[derive(Clone)]
 pub struct HexJob<T> {
     /// Left operand: an upper band matrix (`lower == 0`, bandwidth ≤ `w`).
@@ -228,7 +227,7 @@ struct BTag<T> {
 /// most recent run.
 ///
 /// Buffers are **cleared, not freed**, between runs: after a warm-up run of
-/// a given shape, [`HexArray::run_with`] on the same scratch performs zero
+/// a given shape, [`HexArray::run_lanes_with`] on the same scratch performs zero
 /// heap allocations (asserted by the counting-allocator test in
 /// `tests/allocations.rs`).  One scratch lives inside every
 /// [`crate::ArrayStation`], which is how the serving runtime reaches the
@@ -238,9 +237,8 @@ struct BTag<T> {
 /// lives at `idx * lanes + l`): a lane-parallel run
 /// ([`HexArray::run_lanes_with`]) executes L same-shape jobs in one array
 /// pass, sharing every structural plane (tapes, occupancy, indices,
-/// cursors) across the lanes.  A plain [`HexArray::run_with`] is the
-/// `lanes == 1` special case of the same engine, so its layout and cost
-/// are unchanged.
+/// cursors) across the lanes.  A solo run is the `lanes == 1` case of the
+/// same engine, so its layout and cost are unchanged.
 ///
 /// The results of the last successful run stay readable on the scratch
 /// ([`HexScratch::outputs`], [`HexScratch::outputs_of`],
@@ -572,9 +570,9 @@ impl HexArray {
 
     /// Runs one job through the array with a freshly allocated workspace.
     ///
-    /// This is [`HexArray::run_with`] plus the cost of building (and
-    /// copying out of) a [`HexScratch`]; steady-state callers — the serving
-    /// runtime's [`crate::ArrayStation`] workers, the batch APIs — reuse a
+    /// This is a one-lane [`HexArray::run_lanes_with`] plus the cost of
+    /// building (and copying out of) a [`HexScratch`]; steady-state callers
+    /// — the serving runtime's [`crate::ArrayStation`] workers — reuse a
     /// persistent scratch instead.
     ///
     /// # Errors
@@ -584,29 +582,8 @@ impl HexArray {
     /// injection needs a value that has not been produced yet.
     pub fn run<T: Scalar>(&self, job: &HexJob<T>) -> Result<HexReport<T>, SimError> {
         let mut scratch = HexScratch::new();
-        self.run_with(job, &mut scratch)?;
+        self.run_lanes_with(std::slice::from_ref(job), &mut scratch)?;
         Ok(scratch.report())
-    }
-
-    /// Runs one job through the array, reusing the caller's workspace.
-    ///
-    /// All per-run buffers (tapes, register planes, feedback store, event
-    /// and output vectors) live in `scratch` and are cleared-not-freed, so
-    /// repeated runs of same-shaped jobs perform **no heap allocation**
-    /// after the first.  The results stay readable on the scratch
-    /// ([`HexScratch::outputs`] and friends) until the next run; they are
-    /// bit-identical to what [`HexArray::run`] reports for the same job.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HexArray::run`].  After an error the scratch holds no
-    /// meaningful results but stays valid for the next run.
-    pub fn run_with<T: Scalar>(
-        &self,
-        job: &HexJob<T>,
-        scratch: &mut HexScratch<T>,
-    ) -> Result<(), SimError> {
-        self.run_lanes_with(std::slice::from_ref(job), scratch)
     }
 
     /// Checks that a lane batch is well-formed: every job valid on its own,
@@ -685,7 +662,7 @@ impl HexArray {
     /// autovectorizable lane block), and the per-cycle structural work —
     /// tape walks, occupancy tests, cursor advances — is paid once instead
     /// of L times.  Lane `l`'s outputs ([`HexScratch::outputs_of`]) are
-    /// **bit-identical** to a solo [`HexArray::run_with`] of `jobs[l]`: the
+    /// **bit-identical** to a one-lane run of `jobs[l]`: the
     /// per-cell operand pairing and accumulation order are unchanged, lanes
     /// never mix, and the modeled cycle count (shared by all lanes) is the
     /// closed-form count of the common shape.
@@ -1176,50 +1153,6 @@ impl HexArray {
         scratch.skipped_cycles = skipped;
         Ok(())
     }
-
-    /// Runs independent jobs in parallel (scoped OS threads, one chunk per
-    /// core, one reused [`HexScratch`] per thread), returning the reports in
-    /// job order.
-    ///
-    /// Jobs share nothing at run time — operands are behind [`Arc`], every
-    /// engine buffer is per-thread — so this is a pure fan-out; the result
-    /// of each job is bit-identical to what [`HexArray::run`] returns for
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the first (lowest-index) failing job, if any.
-    pub fn run_batch<T: Scalar>(&self, jobs: &[HexJob<T>]) -> Result<Vec<HexReport<T>>, SimError> {
-        par_map_with(jobs, HexScratch::new, |scratch, job| {
-            self.run_with(job, scratch)?;
-            Ok(scratch.report())
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Runs a batch of jobs **serially** through one caller-owned scratch,
-    /// returning the reports in job order.  This is the entry point for
-    /// owners of a single physical array (a [`crate::ArrayStation`] worker
-    /// serving a coalesced batch): every job reuses the same warm buffers,
-    /// so the whole batch performs no heap allocation beyond the reports it
-    /// returns.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the error of the first failing job, if any.
-    pub fn run_batch_with<T: Scalar>(
-        &self,
-        jobs: &[HexJob<T>],
-        scratch: &mut HexScratch<T>,
-    ) -> Result<Vec<HexReport<T>>, SimError> {
-        let mut reports = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            self.run_with(job, scratch)?;
-            reports.push(scratch.report());
-        }
-        Ok(reports)
-    }
 }
 
 #[cfg(test)]
@@ -1318,7 +1251,8 @@ mod tests {
                     .push(((3, 3), CInjection::Feedback { producer: (0, 0) }));
             }
             let fresh = hex.run(&job).unwrap();
-            hex.run_with(&job, &mut scratch).unwrap();
+            hex.run_lanes_with(std::slice::from_ref(&job), &mut scratch)
+                .unwrap();
             assert_eq!(scratch.outputs(), &fresh.outputs[..], "seed {seed}");
             assert_eq!(scratch.cycles(), fresh.cycles);
             assert_eq!(scratch.utilization(), fresh.utilization);
@@ -1541,28 +1475,27 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_sequential_runs() {
+    fn lane_batches_match_sequential_runs() {
+        // A mixed-shape batch runs as one lane pass per shape through one
+        // reused scratch; every lane matches its solo run.
         let w = 3;
         let hex = HexArray::new(w).unwrap();
-        let jobs: Vec<HexJob<i64>> = (0..7)
-            .map(|seed| {
-                let (_, ba) = upper_band(5 + seed as usize % 3, w, 80 + seed);
-                let (_, bb) = lower_band(5 + seed as usize % 3, w, 90 + seed);
-                HexJob::product(ba, bb)
-            })
-            .collect();
-        let batch = hex.run_batch(&jobs).unwrap();
-        assert_eq!(batch.len(), jobs.len());
         let mut scratch = HexScratch::new();
-        let serial = hex.run_batch_with(&jobs, &mut scratch).unwrap();
-        for ((job, batched), serial) in jobs.iter().zip(&batch).zip(&serial) {
-            let solo = hex.run(job).unwrap();
-            assert_eq!(batched.outputs, solo.outputs);
-            assert_eq!(batched.cycles, solo.cycles);
-            assert_eq!(batched.utilization, solo.utilization);
-            assert_eq!(batched.feedback, solo.feedback);
-            assert_eq!(serial.outputs, solo.outputs);
-            assert_eq!(serial.cycles, solo.cycles);
+        for n in 5..8usize {
+            let jobs: Vec<HexJob<i64>> = (0..=n as u64 % 3)
+                .map(|seed| {
+                    let (_, ba) = upper_band(n, w, 80 + seed);
+                    let (_, bb) = lower_band(n, w, 90 + seed);
+                    HexJob::product(ba, bb)
+                })
+                .collect();
+            hex.run_lanes_with(&jobs, &mut scratch).unwrap();
+            for (lane, job) in jobs.iter().enumerate() {
+                let solo = hex.run(job).unwrap();
+                assert_eq!(scratch.outputs_of(lane).collect::<Vec<_>>(), solo.outputs);
+                assert_eq!(scratch.cycles(), solo.cycles);
+                assert_eq!(scratch.feedback_summary(), solo.feedback);
+            }
         }
     }
 
@@ -1639,7 +1572,7 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_surfaces_the_first_error() {
+    fn lane_batches_surface_the_first_error() {
         let w = 3;
         let hex = HexArray::new(w).unwrap();
         let (_, ba) = upper_band(5, w, 51);
@@ -1649,7 +1582,9 @@ mod tests {
             BandMatrix::<i64>::new(5, 5, 1, 1).unwrap(),
             BandMatrix::<i64>::new(5, 5, 1, 0).unwrap(),
         );
-        let err = hex.run_batch(&[good, bad]).unwrap_err();
+        let err = hex
+            .run_lanes_with(&[good, bad], &mut HexScratch::new())
+            .unwrap_err();
         assert!(matches!(err, SimError::BandProfile { .. }));
     }
 }

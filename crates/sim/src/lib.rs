@@ -33,14 +33,13 @@
 //!
 //! Every per-run buffer lives in a reusable workspace ([`HexScratch`] /
 //! [`LinearScratch`]) that is cleared-not-freed between runs, so the
-//! steady-state entry points [`HexArray::run_with`] /
-//! [`LinearArray::run_with`] perform **zero heap allocations** once warm —
-//! [`ArrayStation`] owns one workspace per array, which is how the serving
-//! runtime reaches allocation-free steady-state serving.  Independent jobs
-//! fan out across OS threads through [`HexArray::run_batch`] /
-//! [`LinearArray::run_batch`] (one warm workspace per thread); single-array
-//! owners batch serially through [`HexArray::run_batch_with`] /
-//! [`LinearArray::run_batch_with`].
+//! steady-state entry points [`HexArray::run_lanes_with`] /
+//! [`LinearArray::run_lanes_with`] perform **zero heap allocations** once
+//! warm — [`ArrayStation`] owns one workspace per array, which is how the
+//! serving runtime reaches allocation-free steady-state serving.  A batch
+//! of same-shape jobs runs as one lane-parallel pass (one value lane per
+//! job); a solo run is the one-lane case, passed as
+//! `std::slice::from_ref(&job)`.
 //!
 //! The simulators know nothing about the paper's DBT transformation; they
 //! execute whatever band problem and injection schedule they are given.  The
@@ -64,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 mod error;
 pub mod hex;
 pub mod linear;

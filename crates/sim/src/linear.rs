@@ -29,12 +29,11 @@
 //! disappears.  The planes are **struct-of-arrays** (value, occupancy
 //! bitmask and index planes); all per-run buffers live in a reusable
 //! [`LinearScratch`] that is cleared-not-freed, making
-//! [`LinearArray::run_with`] allocation-free once warm; and the cycle loop
+//! [`LinearArray::run_lanes_with`] allocation-free once warm; and the cycle loop
 //! **fast-forwards** over stretches where both planes are empty straight to
 //! the next scheduled injection.  The observable behaviour is bit-identical
 //! to the original shift-everything engine.
 
-use crate::batch::par_map_with;
 use crate::plane::{reset_vec, BitPlane};
 use crate::report::{FeedbackEvent, FeedbackSummary, Utilization};
 use crate::SimError;
@@ -61,8 +60,8 @@ pub enum YInjection<T> {
 /// transformation, and also the natural shape for plain upper-band problems.
 ///
 /// The band is shared ([`Arc`]) so streams can be built without cloning the
-/// coefficient storage and fanned out by [`LinearArray::run_batch`]; owned
-/// matrices convert with `.into()`.
+/// coefficient storage (a resident band backs every stream that uses it);
+/// owned matrices convert with `.into()`.
 #[derive(Clone)]
 pub struct MvStream<T> {
     /// The band coefficient matrix `Â` (R rows, up to `R + w − 1` columns).
@@ -172,7 +171,7 @@ pub const MAX_STREAMS: usize = 2;
 /// vectors of the most recent run.
 ///
 /// Buffers are **cleared, not freed**, between runs: after a warm-up run of
-/// a given shape, [`LinearArray::run_with`] on the same scratch performs
+/// a given shape, [`LinearArray::run_lanes_with`] on the same scratch performs
 /// zero heap allocations (asserted by the counting-allocator test in
 /// `tests/allocations.rs`).  One scratch lives inside every
 /// [`crate::ArrayStation`].
@@ -328,19 +327,13 @@ impl<T: Scalar> LinearScratch<T> {
             .collect()
     }
 
-    /// Writes the `ŷ` values of `stream` into `out`, indexed by band row,
-    /// and returns how many outputs were written.  Rows the run never
-    /// produced are left untouched — callers that pre-fill `out` must
-    /// check the returned count against the expected row count, or an
-    /// incomplete run would read as silent zeros.  This is the
-    /// allocation-free counterpart of [`LinearReport::y`] — a single pass
-    /// over the output stream, no sort.
-    pub fn collect_y_into(&self, stream: usize, out: &mut [T]) -> usize {
-        self.collect_y_lane_into(stream, 0, out)
-    }
-
-    /// Lane-aware [`LinearScratch::collect_y_into`]: writes the `ŷ` values
-    /// of `stream` on lane `lane` into `out` and returns the written count.
+    /// Writes the `ŷ` values of `stream` on lane `lane` (`0` for a solo
+    /// run) into `out`, indexed by band row, and returns how many outputs
+    /// were written.  Rows the run never produced are left untouched —
+    /// callers that pre-fill `out` must check the returned count against
+    /// the expected row count, or an incomplete run would read as silent
+    /// zeros.  This is the allocation-free counterpart of
+    /// [`LinearReport::y`] — a single pass over the output stream, no sort.
     ///
     /// # Panics
     ///
@@ -439,7 +432,7 @@ impl LinearArray {
     /// With two streams, the second is phase-shifted by one cycle and uses
     /// the cell-cycles the first leaves idle — the paper's *overlapping*
     /// schedule.  Steady-state callers reuse a persistent workspace through
-    /// [`LinearArray::run_with`] instead.
+    /// [`LinearArray::run_lanes_with`] instead.
     ///
     /// # Errors
     ///
@@ -448,29 +441,8 @@ impl LinearArray {
     /// feedback injection needs a value the array has not produced yet.
     pub fn run<T: Scalar>(&self, streams: &[MvStream<T>]) -> Result<LinearReport<T>, SimError> {
         let mut scratch = LinearScratch::new();
-        self.run_with(streams, &mut scratch)?;
+        self.run_lanes_with(std::slice::from_ref(&streams), &mut scratch)?;
         Ok(scratch.report())
-    }
-
-    /// Runs one or two interleaved streams, reusing the caller's workspace.
-    ///
-    /// All per-run buffers live in `scratch` and are cleared-not-freed, so
-    /// repeated runs of same-shaped jobs perform **no heap allocation**
-    /// after the first.  The results stay readable on the scratch
-    /// ([`LinearScratch::outputs`] and friends) until the next run; they are
-    /// bit-identical to what [`LinearArray::run`] reports for the same
-    /// streams.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LinearArray::run`].  After an error the scratch holds no
-    /// meaningful results but stays valid for the next run.
-    pub fn run_with<T: Scalar>(
-        &self,
-        streams: &[MvStream<T>],
-        scratch: &mut LinearScratch<T>,
-    ) -> Result<(), SimError> {
-        self.run_lanes_with(std::slice::from_ref(&streams), scratch)
     }
 
     /// Checks that a lane batch is well-formed: every job (stream set)
@@ -540,7 +512,7 @@ impl LinearArray {
     /// set; only the value planes carry a lane dimension and every cell
     /// firing updates L accumulators at once.  Lane `l`'s outputs
     /// ([`LinearScratch::outputs_of`]) are **bit-identical** to a solo
-    /// [`LinearArray::run_with`] of `jobs[l]`, and the modeled cycle count
+    /// one-lane run of `jobs[l]`, and the modeled cycle count
     /// (shared by all lanes) is the closed-form count of the common shape.
     ///
     /// # Errors
@@ -852,49 +824,6 @@ impl LinearArray {
         scratch.skipped_cycles = skipped;
         Ok(())
     }
-
-    /// Runs independent jobs (each a set of one or two interleaved streams)
-    /// in parallel on scoped OS threads (one reused [`LinearScratch`] per
-    /// thread), returning the reports in job order.
-    ///
-    /// Each job's report is bit-identical to what [`LinearArray::run`]
-    /// returns for it; the bands behind the streams are shared via [`Arc`],
-    /// so the fan-out copies no coefficient storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the first (lowest-index) failing job, if any.
-    pub fn run_batch<T: Scalar>(
-        &self,
-        jobs: &[Vec<MvStream<T>>],
-    ) -> Result<Vec<LinearReport<T>>, SimError> {
-        par_map_with(jobs, LinearScratch::new, |scratch, streams| {
-            self.run_with(streams, scratch)?;
-            Ok(scratch.report())
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Runs a batch of jobs **serially** through one caller-owned scratch,
-    /// returning the reports in job order; the single-array counterpart of
-    /// [`LinearArray::run_batch`] (see [`crate::HexArray::run_batch_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the error of the first failing job, if any.
-    pub fn run_batch_with<T: Scalar>(
-        &self,
-        jobs: &[Vec<MvStream<T>>],
-        scratch: &mut LinearScratch<T>,
-    ) -> Result<Vec<LinearReport<T>>, SimError> {
-        let mut reports = Vec::with_capacity(jobs.len());
-        for streams in jobs {
-            self.run_with(streams, scratch)?;
-            reports.push(scratch.report());
-        }
-        Ok(reports)
-    }
 }
 
 #[cfg(test)]
@@ -987,13 +916,15 @@ mod tests {
             };
             let streams = vec![stream];
             let fresh = array.run(&streams).unwrap();
-            array.run_with(&streams, &mut scratch).unwrap();
+            array
+                .run_lanes_with(std::slice::from_ref(&streams), &mut scratch)
+                .unwrap();
             assert_eq!(scratch.outputs(), &fresh.outputs[..], "seed {seed}");
             assert_eq!(scratch.cycles(), fresh.cycles);
             assert_eq!(scratch.utilization(), fresh.utilization);
             assert_eq!(scratch.feedback_summaries(), fresh.feedback);
             let mut y = vec![0i64; rows];
-            scratch.collect_y_into(0, &mut y);
+            scratch.collect_y_lane_into(0, 0, &mut y);
             assert_eq!(y, fresh.y(0));
         }
     }
@@ -1193,34 +1124,31 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_sequential_runs() {
+    fn lane_batches_match_sequential_runs() {
+        // A mixed-shape batch runs as one lane pass per shape through one
+        // reused scratch; every lane matches its solo run.
         let w = 3;
         let array = LinearArray::new(w).unwrap();
-        let jobs: Vec<Vec<MvStream<i64>>> = (0..6u64)
-            .map(|seed| {
-                let rows = 4 + seed as usize % 3;
-                let cols = rows + w - 1;
-                let dense = upper_band_dense(rows, cols, w, 60 + seed);
-                let x = gen::random_vector_i64(cols, 3, 70 + seed);
-                vec![MvStream {
-                    band: BandMatrix::try_from_dense(&dense, 0, w - 1).unwrap().into(),
-                    x,
-                    y_injections: vec![YInjection::Value(0); rows],
-                }]
-            })
-            .collect();
-        let batch = array.run_batch(&jobs).unwrap();
-        assert_eq!(batch.len(), jobs.len());
         let mut scratch = LinearScratch::new();
-        let serial = array.run_batch_with(&jobs, &mut scratch).unwrap();
-        for ((job, batched), serial) in jobs.iter().zip(&batch).zip(&serial) {
-            let solo = array.run(job).unwrap();
-            assert_eq!(batched.outputs, solo.outputs);
-            assert_eq!(batched.cycles, solo.cycles);
-            assert_eq!(batched.utilization, solo.utilization);
-            assert_eq!(batched.feedback, solo.feedback);
-            assert_eq!(serial.outputs, solo.outputs);
-            assert_eq!(serial.cycles, solo.cycles);
+        for rows in 4..7usize {
+            let cols = rows + w - 1;
+            let jobs: Vec<Vec<MvStream<i64>>> = (0..=rows as u64 % 3)
+                .map(|seed| {
+                    let dense = upper_band_dense(rows, cols, w, 60 + seed);
+                    vec![MvStream {
+                        band: BandMatrix::try_from_dense(&dense, 0, w - 1).unwrap().into(),
+                        x: gen::random_vector_i64(cols, 3, 70 + seed),
+                        y_injections: vec![YInjection::Value(0); rows],
+                    }]
+                })
+                .collect();
+            array.run_lanes_with(&jobs, &mut scratch).unwrap();
+            for (lane, job) in jobs.iter().enumerate() {
+                let solo = array.run(job).unwrap();
+                assert_eq!(scratch.outputs_of(lane), &solo.outputs[..]);
+                assert_eq!(scratch.cycles(), solo.cycles);
+                assert_eq!(scratch.utilization(), solo.utilization);
+            }
         }
     }
 

@@ -122,13 +122,10 @@ impl<T: Scalar> ArrayStation<T> {
     ///
     /// # Errors
     ///
-    /// The errors of [`HexArray::run_with`]; failed runs record nothing.
+    /// The errors of [`HexArray::run_lanes_with`]; failed runs record
+    /// nothing.
     pub fn run_hex(&mut self, job: &HexJob<T>) -> Result<&HexScratch<T>, SimError> {
-        self.hex.run_with(job, &mut self.hex_scratch)?;
-        self.stats.hex_runs += 1;
-        self.stats.hex_cycles += self.hex_scratch.cycles();
-        self.stats.hex_skipped_cycles += self.hex_scratch.skipped_cycles();
-        Ok(&self.hex_scratch)
+        self.run_hex_lanes(std::slice::from_ref(job))
     }
 
     /// Runs one or two interleaved streams through the station's linear
@@ -137,13 +134,10 @@ impl<T: Scalar> ArrayStation<T> {
     ///
     /// # Errors
     ///
-    /// The errors of [`LinearArray::run_with`]; failed runs record nothing.
+    /// The errors of [`LinearArray::run_lanes_with`]; failed runs record
+    /// nothing.
     pub fn run_mv(&mut self, streams: &[MvStream<T>]) -> Result<&LinearScratch<T>, SimError> {
-        self.linear.run_with(streams, &mut self.linear_scratch)?;
-        self.stats.linear_runs += 1;
-        self.stats.linear_cycles += self.linear_scratch.cycles();
-        self.stats.linear_skipped_cycles += self.linear_scratch.skipped_cycles();
-        Ok(&self.linear_scratch)
+        self.run_mv_lanes(std::slice::from_ref(&streams))
     }
 
     /// Runs a batch of same-shape matrix–matrix jobs in one lane-parallel

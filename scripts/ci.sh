@@ -13,6 +13,12 @@ cargo build --release
 echo "== cargo test -q  (workspace, incl. sia-runtime scheduler suite)"
 cargo test -q
 
+echo "== perfbench build + self-tests (the benchmark's imports of the workspace API)"
+# perfbench is a separate crate outside the workspace; building it here
+# makes a refactor that breaks its imports fail the gate, not the
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
@@ -54,5 +60,8 @@ echo "== allocs-per-job regression gate (warm repeat-operand serving must stay a
 # zero-allocation serve path shows up here before it shows up in perf.
 grep '"arm": "warm"' BENCH_throughput.json | grep -q '"allocs_per_job": 0.0,' \
     || { echo "warm repeat-operand serving allocated (allocs_per_job > 0)" >&2; exit 1; }
+
+echo "== workspace Rust line count (informational, tracked like a perf number)"
+find crates src tests examples -name '*.rs' | xargs cat | wc -l
 
 echo "CI gate passed."

@@ -4,7 +4,7 @@
 //! tenancy, coalesced service attribution), and the live observability
 //! layer (snapshots, trace rings, latency histograms).
 
-use size_independent_systolic::dbt::sparse;
+use size_independent_systolic::dbt::{mv_staging_cycles, sparse, OperandRef};
 use size_independent_systolic::prelude::*;
 use size_independent_systolic::runtime::{HistogramSnapshot, JobOutput};
 use std::time::Duration;
@@ -253,6 +253,51 @@ fn coalesced_receipts_attribute_the_batch_span_by_cycle_share() {
             receipt.service, receipt.batch_service
         );
     }
+}
+
+#[test]
+fn coalesced_mv_members_report_their_staging() {
+    // A lane-packed burst of dense-MV jobs on one operand: the first member
+    // stages the operand's band, every later member hits it, and the
+    // worker's staging ledger carries exactly that one staging pass.
+    let (w, n) = (4, 32);
+    let farm = ArrayFarm::new(FarmConfig::new(w).coalesce_limit(8).lanes(4)).unwrap();
+    let blocker = farm.submit(blocker_job(31)).unwrap();
+    let a = OperandRef::named(7, gen::random_dense_f64(n, n, 32));
+    let mates: Vec<_> = (0..8u64)
+        .map(|i| {
+            let x = gen::random_vector_f64(n, 40 + i);
+            farm.submit(Job::dense_mv(a.clone(), x)).unwrap()
+        })
+        .collect();
+    let blocker = blocker.wait().unwrap();
+    let receipts: Vec<JobReceipt> = mates.into_iter().map(|t| t.wait().unwrap()).collect();
+    assert!(
+        receipts.iter().filter(|r| r.coalesced()).count() >= 2,
+        "the queued same-operand mates must coalesce"
+    );
+    let staging = mv_staging_cycles(MvShape { w, n, m: n });
+    let staged: Vec<&JobReceipt> = receipts.iter().filter(|r| !r.operand_hit).collect();
+    assert_eq!(staged.len(), 1, "exactly one member stages the operand");
+    assert_eq!(staged[0].staging_cycles, staging);
+    assert!(receipts
+        .iter()
+        .filter(|r| r.operand_hit)
+        .all(|r| r.staging_cycles == 0));
+    // The worker publishes its cache ledger after each batch.  A trailing
+    // triangular solve (no cache lookup) on the same single linear worker
+    // is served only after the mates' batches, so once it resolves every
+    // batch before it has been published.
+    let c = gen::random_vector_f64(4, 50);
+    let a = gen::lower_triangular_f64(4, 51);
+    let tail = Job::TriangularSolve { a, c, lower: true };
+    farm.submit(tail).unwrap().wait().unwrap();
+    let snapshot = farm.snapshot();
+    assert_eq!((snapshot.operand_hits(), snapshot.operand_misses()), (7, 2));
+    assert_eq!(
+        snapshot.staging_cycles() as usize,
+        blocker.staging_cycles + staging
+    );
 }
 
 #[test]

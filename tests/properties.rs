@@ -8,8 +8,8 @@
 //! * the measured step counts equal the paper's closed forms;
 //! * the measured utilization never exceeds the paper's bound;
 //! * the tape-driven engines' outcomes (values, cycle counts, feedback
-//!   summaries) agree with the analytic predictions, and the batch APIs are
-//!   outcome-identical to sequential runs;
+//!   summaries) agree with the analytic predictions, and lane-parallel
+//!   batches are outcome-identical to sequential runs;
 //! * the farm's lifecycle: under every policy, cancellation racing dispatch
 //!   resolves to exactly one of receipt/`Cancelled`, and the telemetry
 //!   books balance (completed + cancelled == submitted).
@@ -22,8 +22,9 @@
 use sia_matrix::rng::SplitMix64;
 use size_independent_systolic::dbt::{ext, sparse};
 use size_independent_systolic::dbt::{
-    multiply_mm_batch, multiply_mm_batch_on, multiply_mm_on, multiply_mv_batch,
-    multiply_mv_batch_on, multiply_mv_on, MmProblem, MvProblem,
+    multiply_mm_resident_lanes_on, multiply_mm_resident_on, multiply_mv_block_sparse_resident_on,
+    multiply_mv_resident_lanes_on, multiply_mv_resident_on, mv_staging_cycles, BandCache,
+    MmOutcome, MmProblem, MvOutcome, MvProblem, OperandRef,
 };
 use size_independent_systolic::prelude::*;
 use size_independent_systolic::runtime::{JobOutput, JobTicket};
@@ -37,6 +38,69 @@ const CASES: usize = 48;
 fn random_matrix(rng: &mut SplitMix64, n: usize, m: usize) -> DenseMatrix<i64> {
     let seed = rng.next_u64();
     gen::random_dense_i64(n, m, 9, seed)
+}
+
+/// `count` random `(A, B)` operand pairs of one `n×p · p×m` shape.
+fn mm_operands(rng: &mut SplitMix64, count: usize, (n, p, m): (usize, usize, usize)) -> MmOperands {
+    (0..count)
+        .map(|_| {
+            (
+                random_matrix(rng, n, p).into(),
+                random_matrix(rng, p, m).into(),
+            )
+        })
+        .collect()
+}
+
+/// `count` random `(A, x)` pairs of one `n×m` shape.
+fn mv_operands(rng: &mut SplitMix64, count: usize, (n, m): (usize, usize)) -> MvOperands {
+    (0..count)
+        .map(|_| {
+            (
+                random_matrix(rng, n, m).into(),
+                gen::random_vector_i64(m, 6, rng.next_u64()),
+            )
+        })
+        .collect()
+}
+
+type MmOperands = Vec<(OperandRef<i64>, OperandRef<i64>)>;
+type MvOperands = Vec<(OperandRef<i64>, Vec<i64>)>;
+
+fn mm_problems(operands: &MmOperands) -> Vec<MmProblem<'_, i64>> {
+    operands
+        .iter()
+        .map(|(a, b)| MmProblem { a, b, e: None })
+        .collect()
+}
+
+fn mv_problems(operands: &MvOperands) -> Vec<MvProblem<'_, i64>> {
+    operands
+        .iter()
+        .map(|(a, x)| MvProblem { a, x, b: None })
+        .collect()
+}
+
+/// Asserts that a served MM outcome equals the reference in every field.
+fn assert_same_mm<T: Scalar>(got: &MmOutcome<T>, want: &MmOutcome<T>, at: &str) {
+    assert_eq!((&got.c, got.cycles), (&want.c, want.cycles), "{at}");
+    assert_eq!(
+        (got.efficiency, got.activity),
+        (want.efficiency, want.activity),
+        "{at}"
+    );
+    assert_eq!(got.feedback, want.feedback, "{at}");
+}
+
+/// Asserts that a served MV outcome equals the reference in every field.
+fn assert_same_mv<T: Scalar>(got: &MvOutcome<T>, want: &MvOutcome<T>, at: &str) {
+    assert_eq!((&got.y, got.cycles), (&want.y, want.cycles), "{at}");
+    assert_eq!(
+        (got.efficiency, got.activity),
+        (want.efficiency, want.activity),
+        "{at}"
+    );
+    assert_eq!(got.feedback, want.feedback, "{at}");
 }
 
 #[test]
@@ -153,7 +217,7 @@ fn block_grid_reassembles_the_original() {
 
 // ---------------------------------------------------------------------------
 // Engine equivalence: the tape-driven engines against the paper's analytic
-// predictions and against their own batch APIs.
+// predictions, and lane-parallel batches against sequential runs.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -211,61 +275,51 @@ fn mm_engine_agrees_with_analytic_predictions_including_feedback() {
 
 #[test]
 fn mm_batch_is_outcome_identical_to_sequential_runs() {
+    // A batch is served as lane passes on one station over a capacity-0
+    // cache; every outcome field matches the sequential fresh solve.
     let mut rng = SplitMix64::new(0xBA7C);
     let w = 3;
-    let mats: Vec<(DenseMatrix<i64>, DenseMatrix<i64>)> = (0..9)
-        .map(|_| {
-            let n = rng.range_usize(1, 7);
-            let p = rng.range_usize(1, 7);
-            let m = rng.range_usize(1, 7);
-            let a = random_matrix(&mut rng, n, p);
-            let b = random_matrix(&mut rng, p, m);
-            (a, b)
-        })
-        .collect();
-    let problems: Vec<MmProblem<'_, i64>> = mats
-        .iter()
-        .map(|(a, b)| MmProblem { a, b, e: None })
-        .collect();
-    let batch = multiply_mm_batch(&problems, w).unwrap();
-    assert_eq!(batch.len(), problems.len());
-    for (p, batched) in problems.iter().zip(&batch) {
-        let solo = multiply_mm(p.a, p.b, None, w).unwrap();
-        assert_eq!(batched.c, solo.c);
-        assert_eq!(batched.cycles, solo.cycles);
-        assert_eq!(batched.efficiency, solo.efficiency);
-        assert_eq!(batched.activity, solo.activity);
-        assert_eq!(batched.feedback, solo.feedback);
+    let mut station = ArrayStation::<i64>::new(w).unwrap();
+    let mut cache = BandCache::new(w, 0);
+    for _ in 0..4 {
+        let shape = (
+            rng.range_usize(1, 7),
+            rng.range_usize(1, 7),
+            rng.range_usize(1, 7),
+        );
+        let count = rng.range_usize(1, 5);
+        let operands = mm_operands(&mut rng, count, shape);
+        let problems = mm_problems(&operands);
+        let (batch, _) =
+            multiply_mm_resident_lanes_on(&mut station, &mut cache, &problems).unwrap();
+        assert_eq!(batch.len(), count);
+        for ((a, b), batched) in operands.iter().zip(&batch) {
+            let solo = multiply_mm(a.matrix(), b.matrix(), None, w).unwrap();
+            assert_same_mm(batched, &solo, &format!("shape {shape:?}"));
+        }
     }
 }
 
 #[test]
 fn mv_batch_is_outcome_identical_to_sequential_runs() {
     let mut rng = SplitMix64::new(0xBA7D);
+    let w = 3;
+    let mut station = ArrayStation::<i64>::new(w).unwrap();
+    let mut cache = BandCache::new(w, 0);
     for schedule in [MvSchedule::Simple, MvSchedule::Overlapped] {
-        let w = 3;
-        let data: Vec<(DenseMatrix<i64>, Vec<i64>)> = (0..9)
-            .map(|_| {
-                let n = rng.range_usize(1, 13);
-                let m = rng.range_usize(1, 13);
-                let a = random_matrix(&mut rng, n, m);
-                let x = gen::random_vector_i64(m, 6, rng.next_u64());
-                (a, x)
-            })
-            .collect();
-        let problems: Vec<MvProblem<'_, i64>> = data
-            .iter()
-            .map(|(a, x)| MvProblem { a, x, b: None })
-            .collect();
-        let batch = multiply_mv_batch(&problems, w, schedule).unwrap();
-        assert_eq!(batch.len(), problems.len());
-        for (p, batched) in problems.iter().zip(&batch) {
-            let solo = multiply_mv(p.a, p.x, None, w, schedule).unwrap();
-            assert_eq!(batched.y, solo.y);
-            assert_eq!(batched.cycles, solo.cycles);
-            assert_eq!(batched.efficiency, solo.efficiency);
-            assert_eq!(batched.activity, solo.activity);
-            assert_eq!(batched.feedback, solo.feedback);
+        for _ in 0..4 {
+            let shape = (rng.range_usize(1, 13), rng.range_usize(1, 13));
+            let count = rng.range_usize(1, 5);
+            let operands = mv_operands(&mut rng, count, shape);
+            let problems = mv_problems(&operands);
+            let (batch, _) =
+                multiply_mv_resident_lanes_on(&mut station, &mut cache, &problems, schedule)
+                    .unwrap();
+            assert_eq!(batch.len(), count);
+            for ((a, x), batched) in operands.iter().zip(&batch) {
+                let solo = multiply_mv(a.matrix(), x, None, w, schedule).unwrap();
+                assert_same_mv(batched, &solo, &format!("{shape:?} {schedule:?}"));
+            }
         }
     }
 }
@@ -311,7 +365,8 @@ fn reused_hex_scratch_is_bit_identical_to_fresh_runs_across_random_shapes() {
                 .push(((4, 4), CInjection::Feedback { producer: (1, 1) }));
         }
         let fresh = hex.run(&job).unwrap();
-        hex.run_with(&job, &mut scratch).unwrap();
+        hex.run_lanes_with(std::slice::from_ref(&job), &mut scratch)
+            .unwrap();
         assert_eq!(scratch.outputs(), &fresh.outputs[..], "n={n}");
         assert_eq!(scratch.cycles(), fresh.cycles, "n={n}");
         assert_eq!(scratch.last_fire_cycle(), fresh.last_fire_cycle);
@@ -352,7 +407,9 @@ fn reused_linear_scratch_is_bit_identical_to_fresh_runs_across_random_shapes() {
             })
             .collect();
         let fresh = array.run(&streams).unwrap();
-        array.run_with(&streams, &mut scratch).unwrap();
+        array
+            .run_lanes_with(std::slice::from_ref(&streams), &mut scratch)
+            .unwrap();
         assert_eq!(scratch.outputs(), &fresh.outputs[..]);
         assert_eq!(scratch.cycles(), fresh.cycles);
         assert_eq!(scratch.utilization(), fresh.utilization);
@@ -362,12 +419,14 @@ fn reused_linear_scratch_is_bit_identical_to_fresh_runs_across_random_shapes() {
 
 #[test]
 fn shared_station_solver_runs_match_fresh_solver_runs() {
-    // One station serves a random mixed sequence of mm/mv/sparse jobs; every
-    // outcome must be bit-identical to the per-call transient path, and the
-    // station must account exactly the cycles the outcomes report.
+    // One station and one band cache serve a random mixed sequence of
+    // mm/mv/sparse jobs; every outcome must be bit-identical to the fresh
+    // solver (a new station over a capacity-0 cache), and the station must
+    // account exactly the cycles the outcomes report.
     let mut rng = SplitMix64::new(0x57A7);
     let w = 3;
     let mut station = ArrayStation::<f64>::new(w).unwrap();
+    let mut cache: BandCache = BandCache::new(w, 4);
     let mut expected_cycles = 0usize;
     for _ in 0..CASES / 2 {
         let n = rng.range_usize(1, 8);
@@ -375,38 +434,38 @@ fn shared_station_solver_runs_match_fresh_solver_runs() {
         match rng.range_usize(0, 3) {
             0 => {
                 let p = rng.range_usize(1, 8);
-                let a = gen::random_dense_f64(n, p, rng.next_u64());
-                let b = gen::random_dense_f64(p, m, rng.next_u64());
-                let shared = multiply_mm_on(&mut station, &a, &b, None).unwrap();
-                let fresh = multiply_mm(&a, &b, None, w).unwrap();
-                assert_eq!(shared.c, fresh.c);
-                assert_eq!(shared.cycles, fresh.cycles);
-                assert_eq!(shared.feedback, fresh.feedback);
+                let a: OperandRef = gen::random_dense_f64(n, p, rng.next_u64()).into();
+                let b: OperandRef = gen::random_dense_f64(p, m, rng.next_u64()).into();
+                let (shared, _) =
+                    multiply_mm_resident_on(&mut station, &mut cache, &a, &b, None).unwrap();
+                let fresh = multiply_mm(a.matrix(), b.matrix(), None, w).unwrap();
+                assert_same_mm(&shared, &fresh, "shared station");
                 expected_cycles += shared.cycles;
             }
             1 => {
-                let a = gen::random_dense_f64(n, m, rng.next_u64());
+                let a: OperandRef = gen::random_dense_f64(n, m, rng.next_u64()).into();
                 let x = gen::random_vector_f64(m, rng.next_u64());
                 let schedule = if rng.next_bool(0.5) {
                     MvSchedule::Overlapped
                 } else {
                     MvSchedule::Simple
                 };
-                let shared = multiply_mv_on(&mut station, &a, &x, None, schedule).unwrap();
-                let fresh = multiply_mv(&a, &x, None, w, schedule).unwrap();
-                assert_eq!(shared.y, fresh.y);
-                assert_eq!(shared.cycles, fresh.cycles);
-                assert_eq!(shared.feedback, fresh.feedback);
+                let (shared, _) =
+                    multiply_mv_resident_on(&mut station, &mut cache, &a, &x, None, schedule)
+                        .unwrap();
+                let fresh = multiply_mv(a.matrix(), &x, None, w, schedule).unwrap();
+                assert_same_mv(&shared, &fresh, "shared station");
                 expected_cycles += shared.cycles;
             }
             _ => {
-                let a = gen::block_sparse_f64(n, m, w, rng.range_f64(0.0, 1.0), rng.next_u64());
+                let density = rng.range_f64(0.0, 1.0);
+                let a: OperandRef = gen::block_sparse_f64(n, m, w, density, rng.next_u64()).into();
                 let x = gen::random_vector_f64(m, rng.next_u64());
-                let shared =
-                    sparse::multiply_mv_block_sparse_on(&mut station, &a, &x, None).unwrap();
-                let fresh = sparse::multiply_mv_block_sparse(&a, &x, None, w).unwrap();
-                assert_eq!(shared.outcome.y, fresh.outcome.y);
-                assert_eq!(shared.outcome.cycles, fresh.outcome.cycles);
+                let (shared, _) =
+                    multiply_mv_block_sparse_resident_on(&mut station, &mut cache, &a, &x, None)
+                        .unwrap();
+                let fresh = sparse::multiply_mv_block_sparse(a.matrix(), &x, None, w).unwrap();
+                assert_same_mv(&shared.outcome, &fresh.outcome, "shared station");
                 expected_cycles += shared.outcome.cycles;
             }
         }
@@ -420,50 +479,48 @@ fn shared_station_solver_runs_match_fresh_solver_runs() {
 
 #[test]
 fn station_batches_match_parallel_batches_and_fresh_runs() {
+    // A same-shape batch served one member per pass on one station and as
+    // one lane-parallel pass on another: outcomes equal the fresh solves,
+    // and both stations bill the same runs and cycles.
     let mut rng = SplitMix64::new(0xBA7E);
     let w = 3;
-    let mut station = ArrayStation::<i64>::new(w).unwrap();
-    let mats: Vec<(DenseMatrix<i64>, DenseMatrix<i64>)> = (0..6)
-        .map(|_| {
-            let n = rng.range_usize(1, 7);
-            let p = rng.range_usize(1, 7);
-            let m = rng.range_usize(1, 7);
-            (random_matrix(&mut rng, n, p), random_matrix(&mut rng, p, m))
-        })
-        .collect();
-    let problems: Vec<MmProblem<'_, i64>> = mats
-        .iter()
-        .map(|(a, b)| MmProblem { a, b, e: None })
-        .collect();
-    let on_station = multiply_mm_batch_on(&mut station, &problems).unwrap();
-    let parallel = multiply_mm_batch(&problems, w).unwrap();
-    for ((p, serial), par) in problems.iter().zip(&on_station).zip(&parallel) {
-        let fresh = multiply_mm(p.a, p.b, None, w).unwrap();
-        assert_eq!(serial.c, fresh.c);
-        assert_eq!(serial.cycles, fresh.cycles);
-        assert_eq!(par.c, fresh.c);
-        assert_eq!(par.cycles, fresh.cycles);
+    let mut sequential = ArrayStation::<i64>::new(w).unwrap();
+    let mut parallel = ArrayStation::<i64>::new(w).unwrap();
+    let mut cache = BandCache::new(w, 0);
+    let shape = (
+        rng.range_usize(1, 7),
+        rng.range_usize(1, 7),
+        rng.range_usize(1, 7),
+    );
+    let operands = mm_operands(&mut rng, 6, shape);
+    let problems = mm_problems(&operands);
+    let (laned, _) = multiply_mm_resident_lanes_on(&mut parallel, &mut cache, &problems).unwrap();
+    for (one, laned) in problems.chunks(1).zip(&laned) {
+        let (serial, _) = multiply_mm_resident_lanes_on(&mut sequential, &mut cache, one).unwrap();
+        let fresh = multiply_mm(one[0].a.matrix(), one[0].b.matrix(), None, w).unwrap();
+        assert_same_mm(&serial[0], &fresh, "sequential");
+        assert_same_mm(laned, &fresh, "lane-parallel");
     }
 
-    let data: Vec<(DenseMatrix<i64>, Vec<i64>)> = (0..6)
-        .map(|_| {
-            let n = rng.range_usize(1, 9);
-            let m = rng.range_usize(1, 9);
-            let a = random_matrix(&mut rng, n, m);
-            let x = gen::random_vector_i64(m, 6, rng.next_u64());
-            (a, x)
-        })
-        .collect();
-    let problems: Vec<MvProblem<'_, i64>> = data
-        .iter()
-        .map(|(a, x)| MvProblem { a, x, b: None })
-        .collect();
-    let on_station = multiply_mv_batch_on(&mut station, &problems, MvSchedule::Simple).unwrap();
-    for (p, serial) in problems.iter().zip(&on_station) {
-        let fresh = multiply_mv(p.a, p.x, None, w, MvSchedule::Simple).unwrap();
-        assert_eq!(serial.y, fresh.y);
-        assert_eq!(serial.cycles, fresh.cycles);
+    let shape = (rng.range_usize(1, 9), rng.range_usize(1, 9));
+    let operands = mv_operands(&mut rng, 6, shape);
+    let problems = mv_problems(&operands);
+    let schedule = MvSchedule::Simple;
+    let (laned, _) =
+        multiply_mv_resident_lanes_on(&mut parallel, &mut cache, &problems, schedule).unwrap();
+    for (one, laned) in problems.chunks(1).zip(&laned) {
+        let (serial, _) =
+            multiply_mv_resident_lanes_on(&mut sequential, &mut cache, one, schedule).unwrap();
+        let fresh = multiply_mv(one[0].a.matrix(), one[0].x, None, w, schedule).unwrap();
+        assert_same_mv(&serial[0], &fresh, "sequential");
+        assert_same_mv(laned, &fresh, "lane-parallel");
     }
+    let (s, l) = (sequential.stats(), parallel.stats());
+    assert_eq!((s.hex_runs, s.hex_cycles), (l.hex_runs, l.hex_cycles));
+    assert_eq!(
+        (s.linear_runs, s.linear_cycles),
+        (l.linear_runs, l.linear_cycles)
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -686,72 +743,65 @@ fn cancellation_races_resolve_to_exactly_one_outcome() {
 
 #[test]
 fn raw_simulator_batches_match_single_runs_on_random_band_jobs() {
+    // Each round is one lane pass of random same-shape band jobs through a
+    // reused scratch; every lane matches its solo run.
     let mut rng = SplitMix64::new(0x5117);
-    // Hexagonal: random upper x lower band products.
     let w = 3;
+    let band = |rng: &mut SplitMix64, rows: usize, cols: usize, upper: bool| {
+        let full = random_matrix(rng, rows, cols);
+        let dense = DenseMatrix::from_fn(rows, cols, |i, j| {
+            let (lo, hi) = if upper { (i, j) } else { (j, i) };
+            if hi >= lo && hi < lo + w {
+                full.at(i, j)
+            } else {
+                0
+            }
+        });
+        let (lower, upper) = if upper { (0, w - 1) } else { (w - 1, 0) };
+        BandMatrix::try_from_dense(&dense, lower, upper).unwrap()
+    };
+    // Hexagonal: random upper x lower band products.
     let hex = HexArray::new(w).unwrap();
-    let jobs: Vec<HexJob<i64>> = (0..8)
-        .map(|_| {
-            let n = rng.range_usize(2, 9);
-            let full_a = random_matrix(&mut rng, n, n);
-            let da = DenseMatrix::from_fn(n, n, |i, j| {
-                if j >= i && j < i + w {
-                    full_a.at(i, j)
-                } else {
-                    0
-                }
-            });
-            let full_b = random_matrix(&mut rng, n, n);
-            let db = DenseMatrix::from_fn(n, n, |i, j| {
-                if i >= j && i < j + w {
-                    full_b.at(i, j)
-                } else {
-                    0
-                }
-            });
-            HexJob::product(
-                BandMatrix::try_from_dense(&da, 0, w - 1).unwrap(),
-                BandMatrix::try_from_dense(&db, w - 1, 0).unwrap(),
-            )
-        })
-        .collect();
-    for (job, batched) in jobs.iter().zip(hex.run_batch(&jobs).unwrap()) {
-        let solo = hex.run(job).unwrap();
-        assert_eq!(batched.outputs, solo.outputs);
-        assert_eq!(batched.utilization, solo.utilization);
+    let mut scratch = HexScratch::new();
+    for _ in 0..4 {
+        let n = rng.range_usize(2, 9);
+        let jobs: Vec<HexJob<i64>> = (0..rng.range_usize(1, 4))
+            .map(|_| HexJob::product(band(&mut rng, n, n, true), band(&mut rng, n, n, false)))
+            .collect();
+        hex.run_lanes_with(&jobs, &mut scratch).unwrap();
+        for (lane, job) in jobs.iter().enumerate() {
+            let solo = hex.run(job).unwrap();
+            assert_eq!(scratch.outputs_of(lane).collect::<Vec<_>>(), solo.outputs);
+            assert_eq!(scratch.utilization(), solo.utilization);
+        }
     }
 
     // Linear: random upper-band streams.
     let array = LinearArray::new(w).unwrap();
-    let jobs: Vec<Vec<MvStream<i64>>> = (0..8)
-        .map(|_| {
-            let rows = rng.range_usize(1, 9);
-            let cols = rows + w - 1;
-            let full = random_matrix(&mut rng, rows, cols);
-            let dense = DenseMatrix::from_fn(rows, cols, |i, j| {
-                if j >= i && j < i + w {
-                    full.at(i, j)
-                } else {
-                    0
-                }
-            });
-            vec![MvStream {
-                band: BandMatrix::try_from_dense(&dense, 0, w - 1).unwrap().into(),
-                x: gen::random_vector_i64(cols, 5, rng.next_u64()),
-                y_injections: vec![YInjection::Value(0); rows],
-            }]
-        })
-        .collect();
-    for (job, batched) in jobs.iter().zip(array.run_batch(&jobs).unwrap()) {
-        let solo = array.run(job).unwrap();
-        assert_eq!(batched.outputs, solo.outputs);
-        assert_eq!(batched.utilization, solo.utilization);
+    let mut scratch = LinearScratch::new();
+    for _ in 0..4 {
+        let rows = rng.range_usize(1, 9);
+        let cols = rows + w - 1;
+        let jobs: Vec<Vec<MvStream<i64>>> = (0..rng.range_usize(1, 4))
+            .map(|_| {
+                vec![MvStream {
+                    band: band(&mut rng, rows, cols, true).into(),
+                    x: gen::random_vector_i64(cols, 5, rng.next_u64()),
+                    y_injections: vec![YInjection::Value(0); rows],
+                }]
+            })
+            .collect();
+        array.run_lanes_with(&jobs, &mut scratch).unwrap();
+        for (lane, job) in jobs.iter().enumerate() {
+            let solo = array.run(job).unwrap();
+            assert_eq!(scratch.outputs_of(lane), &solo.outputs[..]);
+            assert_eq!(scratch.utilization(), solo.utilization);
+        }
     }
 }
 
 #[test]
 fn mm_lane_parallel_batches_are_bit_identical_to_solo_runs() {
-    use size_independent_systolic::dbt::multiply_mm_lanes_on;
     let mut rng = SplitMix64::new(0x1A9E5);
     // Lane counts below, at, and between the powers the serving runtime
     // uses, plus ragged batches that do not divide the maximum pass width.
@@ -761,11 +811,11 @@ fn mm_lane_parallel_batches_are_bit_identical_to_solo_runs() {
         let p = rng.range_usize(1, 7);
         let m = rng.range_usize(1, 7);
         let with_e = batch % 2 == 0;
-        type MmCase = (DenseMatrix<i64>, DenseMatrix<i64>, Option<DenseMatrix<i64>>);
+        type MmCase = (OperandRef<i64>, OperandRef<i64>, Option<DenseMatrix<i64>>);
         let mats: Vec<MmCase> = (0..batch)
             .map(|_| {
-                let a = random_matrix(&mut rng, n, p);
-                let b = random_matrix(&mut rng, p, m);
+                let a = random_matrix(&mut rng, n, p).into();
+                let b = random_matrix(&mut rng, p, m).into();
                 let e = with_e.then(|| random_matrix(&mut rng, n, m));
                 (a, b, e)
             })
@@ -779,22 +829,19 @@ fn mm_lane_parallel_batches_are_bit_identical_to_solo_runs() {
             })
             .collect();
         let mut station = ArrayStation::new(w).unwrap();
-        let lanes = multiply_mm_lanes_on(&mut station, &problems).unwrap();
+        let (lanes, _) =
+            multiply_mm_resident_lanes_on(&mut station, &mut BandCache::new(w, 0), &problems)
+                .unwrap();
         assert_eq!(lanes.len(), batch);
         for (p, laned) in problems.iter().zip(&lanes) {
-            let solo = multiply_mm(p.a, p.b, p.e, w).unwrap();
-            assert_eq!(laned.c, solo.c, "batch of {batch} on w={w}");
-            assert_eq!(laned.cycles, solo.cycles);
-            assert_eq!(laned.efficiency, solo.efficiency);
-            assert_eq!(laned.activity, solo.activity);
-            assert_eq!(laned.feedback, solo.feedback);
+            let solo = multiply_mm(p.a.matrix(), p.b.matrix(), p.e, w).unwrap();
+            assert_same_mm(laned, &solo, &format!("batch of {batch} on w={w}"));
         }
     }
 }
 
 #[test]
 fn mv_lane_parallel_batches_are_bit_identical_to_solo_runs() {
-    use size_independent_systolic::dbt::multiply_mv_lanes_on;
     let mut rng = SplitMix64::new(0x1A9E6);
     for &batch in &[1usize, 2, 3, 4, 8, 19] {
         for schedule in [MvSchedule::Simple, MvSchedule::Overlapped] {
@@ -802,10 +849,10 @@ fn mv_lane_parallel_batches_are_bit_identical_to_solo_runs() {
             let n = rng.range_usize(1, 8);
             let m = rng.range_usize(1, 8);
             let with_b = batch % 2 == 1;
-            type MvCase = (DenseMatrix<i64>, Vec<i64>, Option<Vec<i64>>);
+            type MvCase = (OperandRef<i64>, Vec<i64>, Option<Vec<i64>>);
             let probs: Vec<MvCase> = (0..batch)
                 .map(|_| {
-                    let a = random_matrix(&mut rng, n, m);
+                    let a = random_matrix(&mut rng, n, m).into();
                     let x: Vec<i64> = (0..m).map(|_| rng.range_usize(0, 9) as i64 - 4).collect();
                     let b =
                         with_b.then(|| (0..n).map(|_| rng.range_usize(0, 9) as i64 - 4).collect());
@@ -821,15 +868,18 @@ fn mv_lane_parallel_batches_are_bit_identical_to_solo_runs() {
                 })
                 .collect();
             let mut station = ArrayStation::new(w).unwrap();
-            let lanes = multiply_mv_lanes_on(&mut station, &problems, schedule).unwrap();
+            let mut cache = BandCache::new(w, 0);
+            let (lanes, _) =
+                multiply_mv_resident_lanes_on(&mut station, &mut cache, &problems, schedule)
+                    .unwrap();
             assert_eq!(lanes.len(), batch);
             for (p, laned) in problems.iter().zip(&lanes) {
-                let solo = multiply_mv(p.a, p.x, p.b, w, schedule).unwrap();
-                assert_eq!(laned.y, solo.y, "batch of {batch} on w={w} {schedule:?}");
-                assert_eq!(laned.cycles, solo.cycles);
-                assert_eq!(laned.efficiency, solo.efficiency);
-                assert_eq!(laned.activity, solo.activity);
-                assert_eq!(laned.feedback, solo.feedback);
+                let solo = multiply_mv(p.a.matrix(), p.x, p.b, w, schedule).unwrap();
+                assert_same_mv(
+                    laned,
+                    &solo,
+                    &format!("batch of {batch} on w={w} {schedule:?}"),
+                );
             }
         }
     }
@@ -841,11 +891,6 @@ fn cached_band_serving_is_bit_identical_to_fresh_transforms() {
     // `BandCache` — cold, warm, evicted-then-refaulted, solo or packed
     // into lanes — is the same artifact the fresh transform builds, so
     // every outcome field must be bit-identical to the direct solver.
-    use size_independent_systolic::dbt::{
-        multiply_mm_resident_lanes_on, multiply_mm_resident_on,
-        multiply_mv_block_sparse_resident_on, multiply_mv_resident_on, BandCache,
-        MmResidentProblem, OperandRef,
-    };
     let mut rng = SplitMix64::new(0xCAC4ED);
     for _ in 0..CASES / 2 {
         let w = rng.range_usize(1, 5);
@@ -933,9 +978,9 @@ fn cached_band_serving_is_bit_identical_to_fresh_transforms() {
         let bs: Vec<OperandRef> = (0..lanes)
             .map(|_| OperandRef::content_hashed(gen::random_dense_f64(p, m, rng.next_u64())))
             .collect();
-        let problems: Vec<MmResidentProblem<'_, f64>> = bs
+        let problems: Vec<MmProblem<'_, f64>> = bs
             .iter()
-            .map(|rb| MmResidentProblem {
+            .map(|rb| MmProblem {
                 a: &shared_a,
                 b: rb,
                 e: None,
@@ -959,5 +1004,67 @@ fn cached_band_serving_is_bit_identical_to_fresh_transforms() {
             left_misses >= lanes as u32,
             "every lane stages its own right band at least"
         );
+    }
+
+    // MV lanes, lane widths 1..=16 under both schedules: every lane shares
+    // the operand `A`, so the first lane stages it and the rest hit.  Every
+    // third width uses a single block row, where an overlapped request
+    // falls back to the simple schedule.  A one-entry cache then evicts `A`
+    // with another operand, and the refaulted batch re-stages it once.
+    let mut rng = SplitMix64::new(0x1A9E5E);
+    for lanes in 1..=16usize {
+        for schedule in [MvSchedule::Simple, MvSchedule::Overlapped] {
+            let w = rng.range_usize(1, 5);
+            let n = if lanes % 3 == 0 {
+                rng.range_usize(1, w + 1)
+            } else {
+                rng.range_usize(1, 12)
+            };
+            let m = rng.range_usize(1, 9);
+            let mut station = ArrayStation::<f64>::new(w).unwrap();
+            let mut cache: BandCache = BandCache::new(w, 1);
+            let a = OperandRef::named(1, gen::random_dense_f64(n, m, rng.next_u64()));
+            let other = OperandRef::named(2, gen::random_dense_f64(n, m, rng.next_u64()));
+            let data: Vec<(Vec<f64>, Vec<f64>)> = (0..lanes)
+                .map(|_| {
+                    let x = gen::random_vector_f64(m, rng.next_u64());
+                    (x, gen::random_vector_f64(n, rng.next_u64()))
+                })
+                .collect();
+            let problems: Vec<MvProblem<'_, f64>> = data
+                .iter()
+                .map(|(x, b)| MvProblem {
+                    a: &a,
+                    x,
+                    b: Some(b),
+                })
+                .collect();
+            let staging = mv_staging_cycles(MvShape { w, n, m });
+            for round in ["cold", "refault"] {
+                let (outcomes, reports) =
+                    multiply_mv_resident_lanes_on(&mut station, &mut cache, &problems, schedule)
+                        .unwrap();
+                for (i, (outcome, (x, b))) in outcomes.iter().zip(&data).enumerate() {
+                    let solo = multiply_mv(a.matrix(), x, Some(b), w, schedule).unwrap();
+                    let at = format!("{round} lane {i} of {lanes}, n={n} w={w} {schedule:?}");
+                    assert_same_mv(outcome, &solo, &at);
+                    if i == 0 {
+                        assert_eq!(reports[0].staging_cycles, staging, "{at}");
+                    } else {
+                        assert!(reports[i].operand_hit(), "{at}");
+                    }
+                }
+                // Evict `A`: the next round must refault it.
+                multiply_mv_resident_on(
+                    &mut station,
+                    &mut cache,
+                    &other,
+                    &data[0].0,
+                    None,
+                    schedule,
+                )
+                .unwrap();
+            }
+        }
     }
 }
