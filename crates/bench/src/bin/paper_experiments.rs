@@ -1,5 +1,5 @@
-//! Prints every experiment of the reproduction (DESIGN.md, E1–E14 subset
-//! that produces tables) — the output recorded in `EXPERIMENTS.md`.
+//! Prints every experiment of the reproduction that produces a table
+//! (E1–E14), each with its "agreement with the paper" verdict.
 //!
 //! ```text
 //! cargo run -p sia-bench --release --bin paper_experiments

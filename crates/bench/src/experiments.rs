@@ -1,5 +1,5 @@
-//! The experiment implementations, one per entry of the experiment index in
-//! `DESIGN.md` (E1–E13).  Each returns an [`ExperimentReport`] holding the
+//! The experiment implementations, one per table the `paper_experiments`
+//! binary prints (E1–E14).  Each returns an [`ExperimentReport`] holding the
 //! rendered table plus any headline checks, so the binary can print them and
 //! the tests can assert on them.
 
@@ -20,7 +20,8 @@ use std::time::{Duration, Instant};
 /// claim.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
-    /// Experiment identifier (matches DESIGN.md, e.g. `"E2"`).
+    /// Experiment identifier, as `paper_experiments` prints it (e.g.
+    /// `"E2"`).
     pub id: &'static str,
     /// Human-readable title.
     pub title: String,
@@ -556,7 +557,7 @@ pub fn measure_throughput(policy: Policy) -> ThroughputStats {
     let allocs_after = sia_alloc::allocation_count();
     debug_assert_eq!(steady_receipts.len(), n);
 
-    let telemetry = farm.shutdown();
+    let last = farm.shutdown();
     ThroughputStats {
         policy,
         jobs: n,
@@ -567,8 +568,8 @@ pub fn measure_throughput(policy: Policy) -> ThroughputStats {
         p99: Duration::from_nanos(p99_ns),
         percentiles_within_bucket,
         exact_fraction: exact as f64 / n as f64,
-        max_queue_depth: telemetry.max_queue_depth(),
-        steals: telemetry.steals,
+        max_queue_depth: last.max_depth,
+        steals: last.steals,
         steady_jobs_per_sec: n as f64 / steady_wall.as_secs_f64(),
         allocs_per_job: (allocs_after - allocs_before) as f64 / n as f64,
     }
@@ -992,11 +993,10 @@ pub fn measure_fairness(policy: Policy) -> FairnessStats {
         .count();
     drop(blocker);
     let wall = start.elapsed();
-    let telemetry = farm.shutdown();
+    let last = farm.shutdown();
     let row = |tenant| {
-        telemetry
-            .tenant(tenant)
-            .map_or((0, 0), |t| (t.served, t.served_predicted_cycles))
+        last.tenant(tenant)
+            .map_or((0, 0), |t| (t.served as usize, t.predicted_cycles as usize))
     };
     let (heavy_served, heavy_cycles) = row(TENANT_HEAVY);
     let (light_served, light_cycles) = row(TENANT_LIGHT);
@@ -1125,7 +1125,7 @@ const OBSERVABILITY_FLOOR: f64 = if cfg!(debug_assertions) { 0.80 } else { 0.98 
 /// One arm's measured serving behaviour in the E13 observability-overhead
 /// experiment: the same E10 mixed-job burst, served either by a
 /// fully-instrumented farm (event tracing + live metrics, the default) or
-/// by a dark one (`trace_capacity(0)`, `metrics(false)`).
+/// by a dark one (`trace_capacity(0)`, `metrics(false)`: counters only).
 #[derive(Debug, Clone)]
 pub struct ObservabilityStats {
     /// `true` for the instrumented arm, `false` for the dark arm.
@@ -1141,15 +1141,15 @@ pub struct ObservabilityStats {
     /// allocator is not installed).
     pub allocs_per_job: f64,
     /// Fraction of delivered jobs with cycle-exact predictions, read from
-    /// the live snapshot (1.0 in the instrumented arm; trivially 1.0 in
-    /// the dark arm, whose metrics record nothing).
+    /// the live snapshot (the counters behind it are recorded in both
+    /// arms; 1.0 for this all-dense mix).
     pub exact_fraction: f64,
     /// Lifecycle events recorded across every trace ring.
     pub trace_recorded: u64,
     /// Events that aged out of the bounded rings.
     pub trace_dropped: u64,
     /// Median end-to-end latency from the live histograms (zero in the
-    /// dark arm).
+    /// dark arm, which records no histograms).
     pub p50: Duration,
     /// 95th-percentile end-to-end latency (zero in the dark arm).
     pub p95: Duration,
@@ -1162,8 +1162,9 @@ pub struct ObservabilityStats {
 /// fully off, and measures the best steady-state rate over
 /// `OBSERVABILITY_BURSTS` warm bursts.  The cold burst is a warmup —
 /// identical in both arms — so the comparison isolates the per-job cost of
-/// the instrumentation itself: ring writes, histogram records, counter
-/// bumps and the per-batch station publish.
+/// the optional instrumentation: ring writes and histogram records.  The
+/// counters and the per-batch station publish are the farm's ledger and
+/// run in both arms.
 pub fn measure_observability(enabled: bool) -> ObservabilityStats {
     let mut config = FarmConfig::new(THROUGHPUT_W)
         .linear_workers(2)
@@ -1215,10 +1216,10 @@ pub fn measure_observability(enabled: bool) -> ObservabilityStats {
 }
 
 /// E13: observability overhead — the fully-instrumented farm (lock-free
-/// event rings, log-bucketed histograms, live counters) against the same
-/// farm served dark.  The headline gate: instrumentation costs less than
-/// 2% steady-state jobs/s, predictions stay cycle-exact, and the dark arm
-/// records nothing.
+/// event rings, log-bucketed histograms) against the same farm served
+/// dark, which keeps only the counters.  The headline gate:
+/// instrumentation costs less than 2% steady-state jobs/s, predictions
+/// stay cycle-exact in both arms, and the dark arm records no events.
 pub fn run_observability() -> ExperimentReport {
     // The gate compares wall-clock rates across two farms, so a
     // descheduled worker on a loaded runner can charge scheduler noise to
@@ -1256,9 +1257,10 @@ fn observability_attempt() -> (bool, Table) {
     let on = measure_observability(true);
     let off = measure_observability(false);
     let mut agrees = true;
-    // Instrumented serving must stay cycle-exact and within the overhead
-    // budget; the dark farm must record nothing at all.
-    agrees &= on.exact_fraction == 1.0;
+    // Both arms must stay cycle-exact (the dark arm keeps its counters),
+    // instrumentation must stay within the overhead budget, and the dark
+    // farm must record no events.
+    agrees &= on.exact_fraction == 1.0 && off.exact_fraction == 1.0;
     agrees &= on.trace_recorded > 0 && on.trace_dropped <= on.trace_recorded;
     agrees &= off.trace_recorded == 0 && off.trace_dropped == 0;
     agrees &= on.steady_jobs_per_sec >= OBSERVABILITY_FLOOR * off.steady_jobs_per_sec;

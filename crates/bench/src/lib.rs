@@ -4,8 +4,8 @@
 //! closed-form result of the paper's evaluation has a function here that
 //! runs the simulators, collects the measured numbers and formats them next
 //! to the paper's predictions.  The `paper_experiments` binary prints the
-//! whole set (that output is the source of `EXPERIMENTS.md`); the Criterion
-//! benches in `benches/` time the same code paths.
+//! whole set; the benches in `benches/` time the same code paths with the
+//! in-repo [`harness`] (criterion-style output, no external crates).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,8 @@
 //! Minimal fixed-width table formatting for the experiment reports.
 
 /// A simple text table: a header row plus data rows, rendered with
-/// fixed-width columns so the experiment output lines up like the tables in
-/// `EXPERIMENTS.md`.
+/// fixed-width columns so the `paper_experiments` output lines up in a
+/// terminal.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     header: Vec<String>,

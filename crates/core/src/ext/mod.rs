@@ -13,7 +13,7 @@
 //! and therefore through the simulated systolic arrays, while the small
 //! `w × w` pivot work (triangular solves and factorizations of single
 //! blocks) is modelled as host/"division cell" work and reported separately.
-//! DESIGN.md records this substitution.
+//! `README.md` lists these extensions in its workspace table.
 
 mod gauss_seidel;
 mod inverse;

@@ -4,7 +4,7 @@
 //! `(n, m, p)` and the array size `w` affect cycle counts and utilization.
 //! These generators provide deterministic, seeded inputs for the tests,
 //! examples and experiment harness — the synthetic stand-in for the 1986
-//! signal-processing workloads (see DESIGN.md, substitutions table).
+//! signal-processing workloads, which are not available.
 
 use crate::rng::SplitMix64;
 use crate::{DenseMatrix, Scalar};

@@ -483,6 +483,8 @@ mod tests {
             }],
             tenants: vec![crate::TenantSnapshot {
                 tenant: 7,
+                submitted: 4,
+                cancelled: 0,
                 served: 4,
                 shed: 0,
                 predicted_cycles: 400,

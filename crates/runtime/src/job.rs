@@ -32,7 +32,7 @@ impl ArrayClass {
     }
 }
 
-/// Discriminant of [`Job`], used in receipts and telemetry.
+/// Discriminant of [`Job`], used in receipts and snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// Dense `C = A·B + E`.
@@ -257,7 +257,7 @@ impl Job {
 /// [`crate::Policy::DeadlineAware`] and is *enforced* at dispatch: a job
 /// whose deadline has already passed when a worker would start it is shed
 /// with [`crate::FarmError::DeadlineExceeded`] instead of run.  `tenant`
-/// attributes the job to a client for per-tenant telemetry and for the
+/// attributes the job to a client for per-tenant accounting and for the
 /// weighted-fair shares of [`crate::Policy::WeightedFair`].
 #[derive(Debug, Clone)]
 pub struct JobSpec {

@@ -43,15 +43,14 @@
 //!   dense-MM traffic with zero heap allocations end-to-end (pooled reply
 //!   slots and output matrices — recycle outputs via
 //!   [`ArrayFarm::recycle`]);
-//! * **receipts & telemetry** — every job returns a [`JobReceipt`]
-//!   (result, predicted vs. measured cycles, queue/service latency), and
-//!   [`ArrayFarm::shutdown`] returns farm-level [`FarmTelemetry`]
-//!   (per-worker utilization, queue depth over time, predicted-cycle
-//!   accounting, steal/shed/cancel counts, per-tenant shares);
-//! * **live observability** — [`ArrayFarm::snapshot`] returns a
+//! * **receipts** — every job returns a [`JobReceipt`] (result, predicted
+//!   vs. measured cycles, queue/service latency);
+//! * **one ledger, read live** — [`ArrayFarm::snapshot`] returns a
 //!   [`FarmSnapshot`] *while the farm serves* (monotonic counters,
 //!   log-bucketed latency histograms with p50/p95/p99 read from buckets,
-//!   engine counters, per-tenant rollups); every worker records
+//!   engine counters, per-worker utilization, steal/shed/cancel counts,
+//!   per-tenant rollups), and [`ArrayFarm::shutdown`] returns the final
+//!   one after the workers joined; every worker records
 //!   lifecycle [`JobEvent`]s into a lock-free bounded ring
 //!   ([`ArrayFarm::trace_events`]), and the [`export`] module renders
 //!   both as Prometheus text exposition and Chrome trace-event JSON.
@@ -81,8 +80,8 @@
 //!     let receipt = ticket.wait()?;
 //!     assert!(receipt.prediction_exact());
 //! }
-//! let telemetry = farm.shutdown();
-//! assert_eq!(telemetry.completed(), 2);
+//! let last = farm.shutdown();
+//! assert_eq!(last.completed(), 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -98,7 +97,6 @@ pub mod metrics;
 pub mod policy;
 mod queue;
 mod snapshot;
-pub mod telemetry;
 pub mod trace;
 mod worker;
 
@@ -111,6 +109,5 @@ pub use metrics::{
 pub use policy::Policy;
 pub use sia_dbt::OperandRef;
 pub use snapshot::{FarmSnapshot, TenantSnapshot, WorkerSnapshot};
-pub use telemetry::{DepthSample, FarmTelemetry, TenantServed, TenantTelemetry, WorkerTelemetry};
 pub use trace::{EventRing, JobEvent, JobEventKind};
 pub use worker::{ArrayFarm, FarmConfig, JobTicket};

@@ -42,19 +42,11 @@ use crate::error::FarmError;
 use crate::job::{ArrayClass, Job, JobKind, JobReceipt};
 use crate::policy::{select_key, select_next, Policy, SelectKey};
 use crate::snapshot::FarmLive;
-use crate::telemetry::{DepthSample, TenantTelemetry};
 use crate::trace::{JobEvent, JobEventKind};
 use sia_matrix::DenseMatrix;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Cap on the number of retained queue-depth samples (~1 MB at most).  The
-/// trace is never cut off: reaching the cap *decimates* it — every other
-/// retained sample is dropped and the sampling stride doubles — so the
-/// trace always spans the farm's whole lifetime at half resolution per
-/// doubling, and the exact maximum depth is tracked separately.
-const MAX_DEPTH_SAMPLES: usize = 65_536;
 
 /// Fixed-point scale for virtual finish times (predicted cycles ×
 /// `VFT_ONE` / weight), so integer division by the weight keeps ~16 bits
@@ -244,50 +236,9 @@ struct QueueState {
     /// ([`QueueSet::note_staged`] / [`QueueSet::note_evicted`]) and read by
     /// the cache-aware router in [`QueueSet::submit`].
     resident: HashMap<u64, Vec<u16>>,
-    depth_log: Vec<DepthSample>,
-    /// Exact maximum of `depth` over the whole run (decimation-proof).
+    /// Exact maximum of `depth` over the whole run (only submissions
+    /// raise it).
     max_depth: usize,
-    /// Depth events observed so far (sampling clock).
-    depth_events: u64,
-    /// Record every `depth_stride`-th event; doubles on each decimation.
-    depth_stride: u64,
-}
-
-impl QueueState {
-    fn log_depth(&mut self, started: Instant) {
-        self.max_depth = self.max_depth.max(self.depth);
-        self.depth_events += 1;
-        if !self.depth_events.is_multiple_of(self.depth_stride) {
-            return;
-        }
-        self.push_depth_sample(started);
-    }
-
-    /// Records a depth sample regardless of the sampling stride.  Used
-    /// for work-steal events: steals are rare but diagnostically dense
-    /// (they mark the moments load was imbalanced), so a decimated
-    /// stride must never drop them.
-    fn log_depth_forced(&mut self, started: Instant) {
-        self.max_depth = self.max_depth.max(self.depth);
-        self.depth_events += 1;
-        self.push_depth_sample(started);
-    }
-
-    fn push_depth_sample(&mut self, started: Instant) {
-        if self.depth_log.len() == MAX_DEPTH_SAMPLES {
-            // Decimate: keep every other sample, halve the resolution.
-            let mut keep = false;
-            self.depth_log.retain(|_| {
-                keep = !keep;
-                keep
-            });
-            self.depth_stride *= 2;
-        }
-        self.depth_log.push(DepthSample {
-            at: started.elapsed(),
-            depth: self.depth,
-        });
-    }
 }
 
 /// The farm's shared queue set.
@@ -301,7 +252,6 @@ pub(crate) struct QueueSet {
     coalesce_limit: usize,
     /// Configured tenant weights (≥ 1); unknown tenants weigh 1.
     weights: HashMap<u32, u32>,
-    started: Instant,
     /// Shared live observability state; admission-side lifecycle events
     /// go into `live.admission` under the queue mutex (which already
     /// serializes these paths — tracing adds no new lock).
@@ -322,16 +272,15 @@ fn class_slot(class: ArrayClass) -> usize {
     }
 }
 
-/// What `QueueSet::drain_telemetry` hands to the farm at shutdown.
-pub(crate) struct QueueTelemetry {
-    pub steals: u64,
+/// The queue-side counters a snapshot reads, in one critical section.
+pub(crate) struct QueueCounters {
     pub submitted: u64,
     pub cancelled: u64,
+    pub steals: u64,
+    pub depth: usize,
     pub max_depth: usize,
-    pub depth_log: Vec<DepthSample>,
-    /// Admission-side tenant rows (served/shed still zero — the farm merges
-    /// the workers' slices in), sorted by tenant id.
-    pub tenants: Vec<TenantTelemetry>,
+    /// `(tenant, submitted, cancelled)` per admitted tenant, sorted by id.
+    pub tenants: Vec<(u32, u64, u64)>,
 }
 
 impl QueueSet {
@@ -340,7 +289,6 @@ impl QueueSet {
         classes: Vec<ArrayClass>,
         coalesce_limit: usize,
         weights: HashMap<u32, u32>,
-        started: Instant,
         live: Arc<FarmLive>,
     ) -> Self {
         let n = classes.len();
@@ -356,19 +304,13 @@ impl QueueSet {
                 vtime: 0,
                 tenants: HashMap::new(),
                 resident: HashMap::new(),
-                // Pre-reserved to its cap so warm-path pushes never grow
-                // the log's allocation mid-serve.
-                depth_log: Vec::with_capacity(MAX_DEPTH_SAMPLES),
                 max_depth: 0,
-                depth_events: 0,
-                depth_stride: 1,
             }),
             ready: [Condvar::new(), Condvar::new()],
             policy,
             classes,
             coalesce_limit: coalesce_limit.max(1),
             weights: weights.into_iter().map(|(t, w)| (t, w.max(1))).collect(),
-            started,
             live,
             reply_pool: Mutex::new(Vec::new()),
             output_pool: Mutex::new(Vec::new()),
@@ -457,7 +399,7 @@ impl QueueSet {
     /// class exists (the farm checks eligibility at submission).
     pub fn submit(&self, mut job: QueuedJob, class: ArrayClass) {
         let mut st = self.lock();
-        // WFQ bookkeeping (cheap, kept for every policy so tenant telemetry
+        // WFQ bookkeeping (cheap, kept for every policy so tenant accounting
         // is policy-independent): the job finishes, in virtual time, one
         // weighted service quantum after max(tenant's last finish, now).
         let vtime = st.vtime;
@@ -497,7 +439,7 @@ impl QueueSet {
         st.backlog[target] += job.predicted.cycles;
         if self.live.admission.capacity() > 0 {
             let event = JobEvent {
-                at: self.started.elapsed(),
+                at: self.live.started.elapsed(),
                 job: job.id,
                 kind: JobEventKind::Admitted,
                 tenant: job.tenant,
@@ -514,8 +456,8 @@ impl QueueSet {
         }
         st.queues[target].push_back(job);
         st.depth += 1;
+        st.max_depth = st.max_depth.max(st.depth);
         st.submitted += 1;
-        st.log_depth(self.started);
         drop(st);
         // One job, one waker — and only of the class that can serve it.
         self.ready[class_slot(class)].notify_one();
@@ -550,7 +492,7 @@ impl QueueSet {
             tenant.cancelled += 1;
         }
         self.live.admission.record(&JobEvent {
-            at: self.started.elapsed(),
+            at: self.live.started.elapsed(),
             job: job.id,
             kind: JobEventKind::Cancelled,
             tenant: job.tenant,
@@ -558,7 +500,6 @@ impl QueueSet {
             worker: Some(worker as u32),
             predicted_cycles: job.predicted.cycles as u64,
         });
-        st.log_depth(self.started);
         drop(st);
         job.reply.resolve(Err(FarmError::Cancelled));
         true
@@ -634,9 +575,6 @@ impl QueueSet {
         st.depth -= 1;
         st.steals += 1;
         st.vtime = st.vtime.max(job.vft);
-        // Steals mark the exact moments load was imbalanced: always keep
-        // their depth sample, even when the sampling stride would skip it.
-        st.log_depth_forced(self.started);
         out.push(job);
         true
     }
@@ -734,22 +672,27 @@ impl QueueSet {
         for job in out.iter() {
             st.vtime = st.vtime.max(job.vft);
         }
-        st.log_depth(self.started);
         true
     }
 
     /// Reads the queue-side counters a live snapshot needs, in one short
-    /// critical section: `(submitted, cancelled, steals, depth,
-    /// max_depth)`.
-    pub fn counters(&self) -> (u64, u64, u64, usize, usize) {
+    /// critical section.
+    pub fn counters(&self) -> QueueCounters {
         let st = self.lock();
-        (
-            st.submitted,
-            st.cancelled,
-            st.steals,
-            st.depth,
-            st.max_depth,
-        )
+        let mut tenants: Vec<(u32, u64, u64)> = st
+            .tenants
+            .iter()
+            .map(|(&id, account)| (id, account.submitted, account.cancelled))
+            .collect();
+        tenants.sort_unstable();
+        QueueCounters {
+            submitted: st.submitted,
+            cancelled: st.cancelled,
+            steals: st.steals,
+            depth: st.depth,
+            max_depth: st.max_depth,
+            tenants,
+        }
     }
 
     /// Flags shutdown and wakes every worker so they can drain and exit.
@@ -757,33 +700,6 @@ impl QueueSet {
         self.lock().shutdown = true;
         for ready in &self.ready {
             ready.notify_all();
-        }
-    }
-
-    /// Collects the queue-side telemetry (called after the workers joined).
-    pub fn drain_telemetry(&self) -> QueueTelemetry {
-        let mut st = self.lock();
-        let mut tenants: Vec<TenantTelemetry> = st
-            .tenants
-            .iter()
-            .map(|(&tenant, account)| TenantTelemetry {
-                tenant,
-                weight: account.weight,
-                submitted: account.submitted,
-                cancelled: account.cancelled,
-                served: 0,
-                shed: 0,
-                served_predicted_cycles: 0,
-            })
-            .collect();
-        tenants.sort_unstable_by_key(|t| t.tenant);
-        QueueTelemetry {
-            steals: st.steals,
-            submitted: st.submitted,
-            cancelled: st.cancelled,
-            max_depth: st.max_depth,
-            depth_log: std::mem::take(&mut st.depth_log),
-            tenants,
         }
     }
 }
@@ -806,7 +722,6 @@ mod tests {
             classes,
             coalesce_limit,
             weights.iter().copied().collect(),
-            Instant::now(),
             live,
         )
     }
@@ -1136,12 +1051,9 @@ mod tests {
             rx2.try_take().is_none(),
             "no resolution for the running job"
         );
-        let telemetry = set.drain_telemetry();
-        assert_eq!(telemetry.cancelled, 1);
-        assert_eq!(telemetry.tenants.len(), 1);
-        assert_eq!(telemetry.tenants[0].tenant, 9);
-        assert_eq!(telemetry.tenants[0].submitted, 2);
-        assert_eq!(telemetry.tenants[0].cancelled, 1);
+        let counters = set.counters();
+        assert_eq!(counters.cancelled, 1);
+        assert_eq!(counters.tenants, vec![(9, 2, 1)]);
     }
 
     #[test]
@@ -1152,10 +1064,9 @@ mod tests {
         set.finish();
         assert!(set.next_batch(0).is_some(), "queued job survives shutdown");
         assert!(set.next_batch(0).is_none(), "then the worker exits");
-        let telemetry = set.drain_telemetry();
-        assert_eq!(telemetry.submitted, 1);
-        assert!(!telemetry.depth_log.is_empty());
-        assert_eq!(telemetry.max_depth, 1);
+        let counters = set.counters();
+        assert_eq!(counters.submitted, 1);
+        assert_eq!((counters.depth, counters.max_depth), (0, 1));
     }
 
     #[test]
@@ -1225,84 +1136,6 @@ mod tests {
         });
         assert_eq!(dispatched.load(Ordering::Relaxed), total as usize);
         assert_eq!(set.lock().depth, 0);
-    }
-
-    #[test]
-    fn depth_trace_decimates_instead_of_truncating_and_max_stays_exact() {
-        let started = Instant::now();
-        let mut st = QueueState {
-            queues: Vec::new(),
-            backlog: Vec::new(),
-            depth: 0,
-            shutdown: false,
-            steals: 0,
-            submitted: 0,
-            cancelled: 0,
-            vtime: 0,
-            tenants: HashMap::new(),
-            resident: HashMap::new(),
-            depth_log: Vec::new(),
-            max_depth: 0,
-            depth_events: 0,
-            depth_stride: 1,
-        };
-        // 5x the cap in events: the cap is hit after MAX events (stride
-        // 1 -> 2), again after 2·MAX more (stride 2 -> 4) and after 4·MAX
-        // more at cumulative 4·MAX (stride 4 -> 8).  The spike to `peak`
-        // happens late, where a truncating trace would have long since
-        // gone blind.
-        let events = 5 * MAX_DEPTH_SAMPLES;
-        let peak = 123_456;
-        for event in 0..events {
-            st.depth = if event == events - 10 {
-                peak
-            } else {
-                event % 37
-            };
-            st.log_depth(started);
-        }
-        assert!(st.depth_log.len() <= MAX_DEPTH_SAMPLES);
-        assert!(
-            st.depth_log.len() > MAX_DEPTH_SAMPLES / 4,
-            "decimation keeps the trace dense, not empty"
-        );
-        assert_eq!(st.depth_stride, 8, "three decimations double thrice");
-        assert_eq!(st.max_depth, peak, "max depth is exact despite decimation");
-        assert_eq!(st.depth_events, events as u64);
-    }
-
-    #[test]
-    fn steal_depth_samples_survive_the_sampling_stride() {
-        let started = Instant::now();
-        let mut st = QueueState {
-            queues: Vec::new(),
-            backlog: Vec::new(),
-            depth: 0,
-            shutdown: false,
-            steals: 0,
-            submitted: 0,
-            cancelled: 0,
-            vtime: 0,
-            tenants: HashMap::new(),
-            resident: HashMap::new(),
-            depth_log: Vec::new(),
-            max_depth: 0,
-            depth_events: 0,
-            depth_stride: 1024, // a heavily decimated trace
-        };
-        // Ordinary events at this stride are almost all skipped...
-        for event in 0..100 {
-            st.depth = event;
-            st.log_depth(started);
-        }
-        assert!(st.depth_log.is_empty());
-        // ...but a steal's sample is always recorded, at the exact depth.
-        st.depth = 77;
-        st.log_depth_forced(started);
-        assert_eq!(st.depth_log.len(), 1);
-        assert_eq!(st.depth_log[0].depth, 77);
-        // The forced sample still advances the shared sampling clock.
-        assert_eq!(st.depth_events, 101);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! atomic counters, [`LogHistogram`]s for the three latency stages and
 //! the signed cycle error, a lane-occupancy histogram, the station's
 //! engine counters, and a bounded [`EventRing`] of lifecycle events.
-//! Per-tenant rollups live beside them, shared across workers.
+//! Per-tenant rollups live beside them, shared across workers.  This is
+//! the farm's only ledger: counters are always recorded, and
+//! [`crate::FarmConfig::metrics`] switches off the histograms alone.
 //!
 //! [`crate::ArrayFarm::snapshot`] copies all of it into a
 //! [`FarmSnapshot`] **without draining, pausing or joining anything** —
@@ -13,7 +15,8 @@
 //! admission, and only to read the queue-side counters.  Every counter
 //! is monotonic, so consecutive snapshots are monotone too; histogram
 //! percentiles are read from buckets and carry the quantization bound
-//! documented in [`crate::metrics`].
+//! documented in [`crate::metrics`].  [`crate::ArrayFarm::shutdown`]
+//! returns one last snapshot, taken after the workers joined.
 
 use crate::job::ArrayClass;
 use crate::metrics::{HistogramSnapshot, LogHistogram, SignedHistogram, SignedSnapshot};
@@ -32,6 +35,9 @@ const OCCUPANCY_SLOTS: usize = sia_dbt::MAX_LANES;
 #[derive(Debug)]
 pub(crate) struct WorkerLive {
     class: ArrayClass,
+    /// Whether the histograms (latency, cycle error, lane occupancy) are
+    /// recorded; the counters always are.
+    metrics: bool,
     jobs: AtomicU64,
     coalesced_jobs: AtomicU64,
     batches: AtomicU64,
@@ -64,9 +70,10 @@ pub(crate) struct WorkerLive {
 }
 
 impl WorkerLive {
-    fn new(class: ArrayClass, trace_capacity: usize) -> Self {
+    fn new(class: ArrayClass, trace_capacity: usize, metrics: bool) -> Self {
         WorkerLive {
             class,
+            metrics,
             jobs: AtomicU64::new(0),
             coalesced_jobs: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -98,6 +105,9 @@ impl WorkerLive {
     /// Records one delivered job (called by the owning worker *before*
     /// the receipt is sent, so a caller who has seen every receipt sees
     /// settled counters).
+    ///
+    /// `exact` is [`crate::JobReceipt::prediction_exact`], so the ledger
+    /// and the receipts share one definition of an exact prediction.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_completion(
         &self,
@@ -106,6 +116,7 @@ impl WorkerLive {
         e2e_ns: u64,
         predicted: u64,
         measured: u64,
+        exact: bool,
         coalesced: bool,
     ) {
         self.jobs.fetch_add(1, Ordering::Relaxed);
@@ -115,8 +126,11 @@ impl WorkerLive {
         self.predicted_cycles
             .fetch_add(predicted, Ordering::Relaxed);
         self.measured_cycles.fetch_add(measured, Ordering::Relaxed);
-        if predicted == measured {
+        if exact {
             self.exact_predictions.fetch_add(1, Ordering::Relaxed);
+        }
+        if !self.metrics {
+            return;
         }
         self.queue.record(queue_ns);
         self.service.record(service_ns);
@@ -141,6 +155,9 @@ impl WorkerLive {
 
     /// Records one array pass that served `occupied` jobs at once.
     pub(crate) fn record_lane_pass(&self, occupied: usize) {
+        if !self.metrics {
+            return;
+        }
         let slot = occupied.clamp(1, OCCUPANCY_SLOTS) - 1;
         self.lane_occupancy[slot].fetch_add(1, Ordering::Relaxed);
     }
@@ -216,6 +233,8 @@ impl WorkerLive {
 /// One tenant's live rollup, shared across every worker that serves it.
 #[derive(Debug, Default)]
 pub(crate) struct TenantLive {
+    /// Whether the histograms are recorded (see [`WorkerLive`]).
+    metrics: bool,
     served: AtomicU64,
     shed: AtomicU64,
     predicted_cycles: AtomicU64,
@@ -230,8 +249,10 @@ impl TenantLive {
         self.predicted_cycles
             .fetch_add(predicted, Ordering::Relaxed);
         self.measured_cycles.fetch_add(measured, Ordering::Relaxed);
-        self.e2e.record(e2e_ns);
-        self.cycle_error.record(measured as i64 - predicted as i64);
+        if self.metrics {
+            self.e2e.record(e2e_ns);
+            self.cycle_error.record(measured as i64 - predicted as i64);
+        }
     }
 
     pub(crate) fn record_shed(&self) {
@@ -241,6 +262,8 @@ impl TenantLive {
     fn snapshot(&self, tenant: u32) -> TenantSnapshot {
         TenantSnapshot {
             tenant,
+            submitted: 0,
+            cancelled: 0,
             served: self.served.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             predicted_cycles: self.predicted_cycles.load(Ordering::Relaxed),
@@ -256,9 +279,8 @@ impl TenantLive {
 #[derive(Debug)]
 pub(crate) struct FarmLive {
     pub(crate) started: Instant,
-    /// Whether counter/histogram recording is enabled
-    /// ([`crate::FarmConfig::metrics`]).
-    pub(crate) metrics: bool,
+    /// Whether histograms are recorded ([`crate::FarmConfig::metrics`]).
+    metrics: bool,
     pub(crate) workers: Vec<WorkerLive>,
     /// Ring for events recorded before a worker owns the job; writers
     /// hold the farm's queue mutex, which serializes them.
@@ -281,7 +303,7 @@ impl FarmLive {
             metrics,
             workers: classes
                 .iter()
-                .map(|&c| WorkerLive::new(c, trace_capacity))
+                .map(|&c| WorkerLive::new(c, trace_capacity, metrics))
                 .collect(),
             admission: EventRing::new(trace_capacity),
             tenants: Mutex::new(Vec::new()),
@@ -296,20 +318,39 @@ impl FarmLive {
         match tenants.binary_search_by_key(&tenant, |(id, _)| *id) {
             Ok(i) => Arc::clone(&tenants[i].1),
             Err(i) => {
-                let live = Arc::new(TenantLive::default());
+                let live = Arc::new(TenantLive {
+                    metrics: self.metrics,
+                    ..TenantLive::default()
+                });
                 tenants.insert(i, (tenant, Arc::clone(&live)));
                 live
             }
         }
     }
 
-    pub(crate) fn tenant_snapshots(&self) -> Vec<TenantSnapshot> {
-        self.tenants
+    /// One row per tenant that was served, shed or admitted, sorted by
+    /// id: the live rollups merged with the queue's `(tenant, submitted,
+    /// cancelled)` accounts (also sorted by id).
+    pub(crate) fn tenant_snapshots(&self, accounts: &[(u32, u64, u64)]) -> Vec<TenantSnapshot> {
+        let mut rows: Vec<TenantSnapshot> = self
+            .tenants
             .lock()
             .unwrap()
             .iter()
             .map(|(id, live)| live.snapshot(*id))
-            .collect()
+            .collect();
+        for &(tenant, submitted, cancelled) in accounts {
+            let i = match rows.binary_search_by_key(&tenant, |t| t.tenant) {
+                Ok(i) => i,
+                Err(i) => {
+                    rows.insert(i, TenantLive::default().snapshot(tenant));
+                    i
+                }
+            };
+            rows[i].submitted = submitted;
+            rows[i].cancelled = cancelled;
+        }
+        rows
     }
 
     pub(crate) fn worker_snapshots(&self) -> Vec<WorkerSnapshot> {
@@ -356,7 +397,8 @@ pub struct WorkerSnapshot {
     pub predicted_cycles: u64,
     /// Sum of measured cycles over delivered jobs.
     pub measured_cycles: u64,
-    /// Delivered jobs whose prediction was cycle-exact.
+    /// Delivered jobs whose prediction was cycle-exact
+    /// ([`crate::JobReceipt::prediction_exact`]).
     pub exact_predictions: u64,
     /// Station counter: completed hexagonal-array passes.
     pub hex_runs: u64,
@@ -413,6 +455,10 @@ impl WorkerSnapshot {
 pub struct TenantSnapshot {
     /// Tenant id.
     pub tenant: u32,
+    /// Jobs of this tenant admitted and enqueued.
+    pub submitted: u64,
+    /// Jobs of this tenant cancelled while queued.
+    pub cancelled: u64,
     /// Jobs delivered successfully for this tenant.
     pub served: u64,
     /// Jobs shed for this tenant (dispatch or admission).
@@ -457,7 +503,8 @@ pub struct FarmSnapshot {
     pub trace_dropped: u64,
     /// Per-worker views, indexed by worker.
     pub workers: Vec<WorkerSnapshot>,
-    /// Per-tenant rollups, sorted by tenant id.
+    /// One row per tenant ever admitted, served or shed, sorted by
+    /// tenant id.
     pub tenants: Vec<TenantSnapshot>,
 }
 
@@ -488,8 +535,14 @@ impl FarmSnapshot {
         self.workers.iter().map(|w| w.measured_cycles).sum()
     }
 
-    /// Fraction of delivered jobs whose closed-form prediction was
-    /// cycle-exact (1.0 when nothing was delivered).
+    /// The tenant's row, if the tenant was ever admitted, served or shed.
+    pub fn tenant(&self, tenant: u32) -> Option<&TenantSnapshot> {
+        self.tenants.iter().find(|t| t.tenant == tenant)
+    }
+
+    /// Fraction of successfully delivered jobs whose closed-form
+    /// prediction was cycle-exact (1.0 when nothing was delivered; failed
+    /// jobs are excluded).
     pub fn exact_prediction_fraction(&self) -> f64 {
         let delivered: u64 = self.completed();
         if delivered == 0 {
@@ -590,5 +643,99 @@ impl FarmSnapshot {
             merged.merge(pick(w));
         }
         merged
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker row recorded through the live ledger: `exact` of the
+    /// `completed` jobs (10 predicted = 10 measured cycles each) count as
+    /// exact, plus `failures` failed and `shed` shed jobs.
+    fn worker(completed: usize, exact: usize, failures: usize, shed: usize) -> WorkerSnapshot {
+        let live = WorkerLive::new(ArrayClass::Linear, 0, true);
+        for i in 0..completed {
+            live.record_completion(1, 1, 2, 10, 10, i < exact, false);
+        }
+        for _ in 0..failures {
+            live.record_failure();
+        }
+        for _ in 0..shed {
+            live.record_shed();
+        }
+        live.record_batch(Duration::from_millis(25 * completed as u64));
+        live.snapshot(0)
+    }
+
+    #[test]
+    fn aggregates_sum_over_workers() {
+        // The second worker delivered one inexact job, failed one and shed
+        // one: the failure counts toward `failures` but neither toward
+        // `completed` nor the exact fraction's denominator.
+        let snapshot = FarmSnapshot {
+            at: Duration::from_millis(100),
+            max_depth: 9,
+            workers: vec![worker(4, 4, 0, 0), worker(1, 0, 1, 1)],
+            ..FarmSnapshot::default()
+        };
+        assert_eq!(snapshot.completed(), 5);
+        assert_eq!(snapshot.failures(), 1);
+        assert_eq!(snapshot.shed(), 1);
+        assert_eq!(snapshot.max_depth, 9);
+        assert_eq!(snapshot.predicted_cycles(), 50);
+        assert_eq!(snapshot.measured_cycles(), 50);
+        assert!((snapshot.exact_prediction_fraction() - 4.0 / 5.0).abs() < 1e-12);
+        assert_eq!(snapshot.e2e_latency().count(), 5);
+        let busy: Vec<f64> = snapshot
+            .workers
+            .iter()
+            .map(|w| w.utilization(snapshot.at))
+            .collect();
+        assert_eq!(busy, vec![1.0, 0.25]);
+    }
+
+    #[test]
+    fn tenant_rows_and_shares_are_queryable() {
+        let live = FarmLive::new(&[ArrayClass::Linear], 0, true, Instant::now());
+        for _ in 0..4 {
+            live.tenant(7).record_completion(2, 10, 10);
+        }
+        live.tenant(3).record_shed();
+        // Tenant 9 was admitted twice and cancelled twice: it has no live
+        // rollup, only a queue account.
+        let snapshot = FarmSnapshot {
+            tenants: live.tenant_snapshots(&[(7, 4, 0), (9, 2, 2)]),
+            ..FarmSnapshot::default()
+        };
+        let ids: Vec<u32> = snapshot.tenants.iter().map(|t| t.tenant).collect();
+        assert_eq!(ids, vec![3, 7, 9], "every tenant seen, sorted by id");
+        let row = snapshot.tenant(7).expect("tenant 7 exists");
+        assert_eq!(
+            (row.submitted, row.served, row.predicted_cycles),
+            (4, 4, 40)
+        );
+        assert_eq!(row.e2e.count(), 4);
+        let cancelled = snapshot.tenant(9).expect("tenant 9 exists");
+        assert_eq!((cancelled.submitted, cancelled.cancelled), (2, 2));
+        assert_eq!(cancelled.served, 0);
+        let shed = snapshot.tenant(3).expect("admission-shed tenant exists");
+        assert_eq!((shed.submitted, shed.shed), (0, 1));
+        assert!(snapshot.tenant(8).is_none());
+    }
+
+    #[test]
+    fn empty_farm_degenerates_to_zero() {
+        let snapshot = FarmSnapshot::default();
+        assert_eq!(snapshot.completed(), 0);
+        assert_eq!(snapshot.shed(), 0);
+        assert_eq!(snapshot.max_depth, 0);
+        assert_eq!(snapshot.predicted_cycles(), 0);
+        // Nothing delivered, nothing mispredicted.
+        assert_eq!(snapshot.exact_prediction_fraction(), 1.0);
+        assert_eq!(snapshot.operand_hit_ratio(), 0.0);
+        assert!(snapshot.lane_occupancy().is_empty());
+        assert!(snapshot.tenant(0).is_none());
+        assert_eq!(worker(0, 0, 0, 0).utilization(Duration::ZERO), 0.0);
     }
 }

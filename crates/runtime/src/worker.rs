@@ -26,7 +26,6 @@ use crate::job::{ArrayClass, Job, JobOutput, JobReceipt, JobSpec};
 use crate::policy::Policy;
 use crate::queue::{DispatchScratch, QueueSet, QueuedJob, ReplySlot};
 use crate::snapshot::{FarmLive, FarmSnapshot, TenantLive, WorkerLive};
-use crate::telemetry::{FarmTelemetry, TenantServed, TenantTelemetry, WorkerTelemetry};
 use crate::trace::{JobEvent, JobEventKind};
 use sia_dbt::ext::{gauss_seidel_on, solve_lower_on, solve_upper_on};
 use sia_dbt::{
@@ -83,10 +82,11 @@ pub struct FarmConfig {
     /// oldest-first, counting what they dropped; `0` disables event
     /// tracing entirely (recording becomes a no-op).
     pub trace_capacity: usize,
-    /// Whether live metrics (counters, latency histograms, lane-occupancy
-    /// and engine counters behind [`ArrayFarm::snapshot`]) are recorded.
-    /// Disabling them strips the serve path down to event tracing alone;
-    /// [`ArrayFarm::snapshot`] then reports queue-side counters only.
+    /// Whether the live histograms behind [`ArrayFarm::snapshot`] (queue,
+    /// service and end-to-end latency, cycle error, lane occupancy) are
+    /// recorded.  The counters are recorded either way: disabling metrics
+    /// leaves every count, cycle total and tenant row exact and leaves the
+    /// histograms empty.
     pub metrics: bool,
     /// Capacity (in DBT band artifacts) of each worker's resident
     /// [`BandCache`]: a repeat operand served by a worker already holding
@@ -178,7 +178,7 @@ impl FarmConfig {
         self
     }
 
-    /// Enables or disables live metrics recording.
+    /// Enables or disables the live histograms (counters stay on).
     #[must_use]
     pub fn metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
@@ -303,19 +303,18 @@ impl Drop for JobTicket {
 /// let direct = sia_dbt::multiply_mv(&a, &x, None, 3, sia_dbt::MvSchedule::Simple).unwrap();
 /// assert_eq!(receipt.output.as_vector().unwrap(), direct.y);
 /// assert!(receipt.prediction_exact()); // 2w·n̄m̄ + 2w − 3, met exactly
-/// let telemetry = farm.shutdown();
-/// assert_eq!(telemetry.completed(), 1);
+/// let last = farm.shutdown();
+/// assert_eq!(last.completed(), 1);
 /// # Ok(())
 /// # }
 /// ```
 pub struct ArrayFarm {
     queues: Arc<QueueSet>,
-    handles: Vec<JoinHandle<WorkerTelemetry>>,
+    handles: Vec<JoinHandle<()>>,
     cost: CostModel,
     config: FarmConfig,
     next_id: AtomicU64,
     admission_shed: AtomicU64,
-    started: Instant,
     live: Arc<FarmLive>,
 }
 
@@ -352,7 +351,6 @@ impl ArrayFarm {
             classes.clone(),
             config.coalesce_limit,
             config.tenant_weights.iter().copied().collect(),
-            started,
             Arc::clone(&live),
         ));
         let mut handles = Vec::with_capacity(classes.len());
@@ -364,7 +362,7 @@ impl ArrayFarm {
             let band_cache = config.band_cache;
             let handle = std::thread::Builder::new()
                 .name(format!("sia-worker-{index}-{}", class.label()))
-                .spawn(move || worker_loop(index, class, w, lanes, band_cache, &queues, &live))
+                .spawn(move || worker_loop(index, w, lanes, band_cache, &queues, &live))
                 .expect("spawning a farm worker thread");
             handles.push(handle);
         }
@@ -375,7 +373,6 @@ impl ArrayFarm {
             config,
             next_id: AtomicU64::new(0),
             admission_shed: AtomicU64::new(0),
-            started,
             live,
         })
     }
@@ -406,28 +403,29 @@ impl ArrayFarm {
     /// (to read queue-side counters) plus the tenant map; workers are
     /// never blocked.  Every counter is monotonic, so consecutive
     /// snapshots are monotone, and a snapshot taken after every submitted
-    /// ticket has resolved agrees with the final telemetry (workers
-    /// publish a job's counters *before* sending its receipt).
+    /// ticket has resolved agrees with the one [`ArrayFarm::shutdown`]
+    /// returns (workers publish a job's counters *before* sending its
+    /// receipt).
     pub fn snapshot(&self) -> FarmSnapshot {
-        let (submitted, cancelled, steals, depth, max_depth) = self.queues.counters();
+        let queue = self.queues.counters();
         let workers = self.live.worker_snapshots();
         let trace_recorded =
             self.live.admission.recorded() + workers.iter().map(|w| w.trace_recorded).sum::<u64>();
         let trace_dropped =
             self.live.admission.dropped() + workers.iter().map(|w| w.trace_dropped).sum::<u64>();
         FarmSnapshot {
-            at: self.started.elapsed(),
-            submitted,
-            cancelled,
+            at: self.live.started.elapsed(),
+            submitted: queue.submitted,
+            cancelled: queue.cancelled,
             shed_at_admission: self.admission_shed.load(Ordering::Relaxed),
-            steals,
-            depth,
-            max_depth,
+            steals: queue.steals,
+            depth: queue.depth,
+            max_depth: queue.max_depth,
             allocations: sia_alloc::allocation_count(),
             trace_recorded,
             trace_dropped,
             workers,
-            tenants: self.live.tenant_snapshots(),
+            tenants: self.live.tenant_snapshots(&queue.tenants),
         }
     }
 
@@ -483,9 +481,7 @@ impl ArrayFarm {
                         .unwrap_or(Duration::MAX);
                 if service > deadline {
                     self.admission_shed.fetch_add(1, Ordering::Relaxed);
-                    if self.config.metrics {
-                        self.live.tenant(spec.tenant).record_shed();
-                    }
+                    self.live.tenant(spec.tenant).record_shed();
                     return Err(FarmError::DeadlineExceeded {
                         late_by: service.saturating_sub(deadline),
                     });
@@ -531,71 +527,27 @@ impl ArrayFarm {
         }
     }
 
-    /// Drains every queue, joins the workers and returns the farm's
-    /// lifetime telemetry — including one final [`FarmSnapshot`]
-    /// ([`FarmTelemetry::snapshot`]), taken after the last worker joined,
-    /// so the live-observability view and the join-time accounting are
-    /// handed back together.
-    pub fn shutdown(mut self) -> FarmTelemetry {
-        let workers = self.join_workers();
-        let snapshot = self.snapshot();
-        let wall = self.started.elapsed();
-        let queue_telemetry = self.queues.drain_telemetry();
-        let mut tenants = queue_telemetry.tenants;
-        for worker in &workers {
-            for slice in &worker.tenants {
-                let row = match tenants.binary_search_by_key(&slice.tenant, |t| t.tenant) {
-                    Ok(found) => &mut tenants[found],
-                    Err(insert_at) => {
-                        tenants.insert(
-                            insert_at,
-                            TenantTelemetry {
-                                tenant: slice.tenant,
-                                weight: 1,
-                                submitted: 0,
-                                cancelled: 0,
-                                served: 0,
-                                shed: 0,
-                                served_predicted_cycles: 0,
-                            },
-                        );
-                        &mut tenants[insert_at]
-                    }
-                };
-                row.served += slice.served;
-                row.shed += slice.shed;
-                row.served_predicted_cycles += slice.predicted_cycles;
-            }
-        }
-        FarmTelemetry {
-            wall,
-            workers,
-            depth: queue_telemetry.depth_log,
-            steals: queue_telemetry.steals,
-            submitted: queue_telemetry.submitted,
-            cancelled: queue_telemetry.cancelled,
-            shed_at_admission: self.admission_shed.load(Ordering::Relaxed),
-            max_depth: queue_telemetry.max_depth,
-            tenants,
-            snapshot,
-        }
+    /// Drains every queue, joins the workers and returns the final
+    /// [`FarmSnapshot`]: the farm's whole lifetime, with every worker's
+    /// counters settled.
+    pub fn shutdown(mut self) -> FarmSnapshot {
+        self.join_workers();
+        self.snapshot()
     }
 
-    fn join_workers(&mut self) -> Vec<WorkerTelemetry> {
+    fn join_workers(&mut self) {
         self.queues.finish();
-        let mut logs = Vec::with_capacity(self.handles.len());
         for handle in self.handles.drain(..) {
-            match handle.join() {
-                Ok(log) => logs.push(log),
-                // Re-raise a worker panic on the caller — unless we are
-                // already unwinding (Drop during a client panic), where a
-                // second panic would abort the process and eat the
-                // original payload.
-                Err(payload) if !std::thread::panicking() => std::panic::resume_unwind(payload),
-                Err(_) => {}
+            // Re-raise a worker panic on the caller — unless we are
+            // already unwinding (Drop during a client panic), where a
+            // second panic would abort the process and eat the original
+            // payload.
+            if let Err(payload) = handle.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         }
-        logs
     }
 }
 
@@ -654,34 +606,18 @@ impl Obs<'_> {
 /// work, drains its queue until shutdown.
 fn worker_loop(
     index: usize,
-    class: ArrayClass,
     w: usize,
     lanes: usize,
     band_cache: usize,
     queues: &QueueSet,
     farm_live: &FarmLive,
-) -> WorkerTelemetry {
+) {
     let mut station = ArrayStation::new(w).expect("farm validated w > 0");
     let mut cache: BandCache = BandCache::new(w, band_cache);
     let mut obs = Obs {
         farm: farm_live,
         live: &farm_live.workers[index],
         worker: index as u32,
-        tenants: Vec::new(),
-    };
-    let mut log = WorkerTelemetry {
-        worker: index,
-        class,
-        jobs: 0,
-        coalesced_jobs: 0,
-        batches: 0,
-        failures: 0,
-        shed: 0,
-        busy: Duration::ZERO,
-        station_cycles: 0,
-        predicted_cycles: 0,
-        measured_cycles: 0,
-        exact_predictions: 0,
         tenants: Vec::new(),
     };
     // Dispatch and serve buffers live for the worker's whole life, so a
@@ -697,7 +633,7 @@ fn worker_loop(
         runnable.clear();
         for qj in batch.drain(..) {
             match qj.deadline {
-                Some(deadline) if deadline < picked_up => shed(qj, picked_up, &mut log, &mut obs),
+                Some(deadline) if deadline < picked_up => shed(qj, picked_up, &mut obs),
                 _ => {
                     obs.event(JobEventKind::Dispatched, &qj);
                     runnable.push(qj);
@@ -707,7 +643,6 @@ fn worker_loop(
         if runnable.is_empty() {
             continue;
         }
-        log.batches += 1;
         if runnable.len() > 1 {
             serve_coalesced(
                 index,
@@ -717,7 +652,6 @@ fn worker_loop(
                 &mut runnable,
                 lanes,
                 picked_up,
-                &mut log,
                 &mut obs,
             );
         } else {
@@ -728,44 +662,19 @@ fn worker_loop(
                 queues,
                 runnable.pop().expect("single-job batch"),
                 picked_up,
-                &mut log,
                 &mut obs,
             );
         }
-        let span = picked_up.elapsed();
-        log.busy += span;
-        if obs.farm.metrics {
-            obs.live.record_batch(span);
-            obs.live.publish_station(station.stats());
-            obs.live.publish_residency(cache.stats());
-        }
+        obs.live.record_batch(picked_up.elapsed());
+        obs.live.publish_station(station.stats());
+        obs.live.publish_residency(cache.stats());
     }
-    log.station_cycles = station.stats().total_cycles();
-    log
-}
-
-/// The worker's per-tenant slice for `tenant`, created on first use.
-fn tenant_entry(tenants: &mut Vec<TenantServed>, tenant: u32) -> &mut TenantServed {
-    if let Some(found) = tenants.iter().position(|t| t.tenant == tenant) {
-        return &mut tenants[found];
-    }
-    tenants.push(TenantServed {
-        tenant,
-        served: 0,
-        shed: 0,
-        predicted_cycles: 0,
-    });
-    tenants.last_mut().expect("just pushed")
 }
 
 /// Sheds one expired-deadline job at dispatch time.
-fn shed(job: QueuedJob, picked_up: Instant, log: &mut WorkerTelemetry, obs: &mut Obs<'_>) {
-    log.shed += 1;
-    tenant_entry(&mut log.tenants, job.tenant).shed += 1;
-    if obs.farm.metrics {
-        obs.live.record_shed();
-        obs.tenant(job.tenant).record_shed();
-    }
+fn shed(job: QueuedJob, picked_up: Instant, obs: &mut Obs<'_>) {
+    obs.live.record_shed();
+    obs.tenant(job.tenant).record_shed();
     obs.event(JobEventKind::Shed, &job);
     let late_by = job
         .deadline
@@ -774,14 +683,13 @@ fn shed(job: QueuedJob, picked_up: Instant, log: &mut WorkerTelemetry, obs: &mut
         .resolve(Err(FarmError::DeadlineExceeded { late_by }));
 }
 
-/// Settles one serve's staging report: prices the staging pass on the
-/// station (apart from compute, so closed-form predictions stay exact),
-/// traces the staged-vs-hit event, and keeps the router's residency
-/// registry in sync with what the cache now holds.  A disabled cache
-/// (capacity 0) stages every serve but must never register residency —
-/// its artifacts bounce straight out again.
+/// Settles one serve's staging report: traces the staged-vs-hit event and
+/// keeps the router's residency registry in sync with what the cache now
+/// holds (the cache itself prices the staging pass, apart from compute, in
+/// its [`sia_sim::ResidencyStats`]).  A disabled cache (capacity 0) stages
+/// every serve but must never register residency — its artifacts bounce
+/// straight out again.
 fn settle_staging(
-    station: &mut ArrayStation,
     cache: &BandCache,
     queues: &QueueSet,
     worker: usize,
@@ -790,7 +698,6 @@ fn settle_staging(
     obs: &mut Obs<'_>,
 ) {
     if report.misses > 0 {
-        station.record_staging(report.staging_cycles);
         obs.event(JobEventKind::OperandStaged, qj);
         if cache.capacity() > 0 {
             for key in report.staged.iter().flatten() {
@@ -805,7 +712,7 @@ fn settle_staging(
     }
 }
 
-/// Builds and sends one receipt, updating the worker log.  For a coalesced
+/// Builds and sends one receipt, updating the live ledger.  For a coalesced
 /// member, `service` is the member's measured-cycle share of the batch span
 /// and `batch_service` carries the span itself.
 #[allow(clippy::too_many_arguments)]
@@ -818,38 +725,13 @@ fn deliver(
     measured_cycles: usize,
     report: StagingReport,
     output: JobOutput,
-    log: &mut WorkerTelemetry,
     obs: &mut Obs<'_>,
 ) {
-    log.jobs += 1;
-    log.predicted_cycles += job.predicted.cycles;
-    log.measured_cycles += measured_cycles;
-    let slice = tenant_entry(&mut log.tenants, job.tenant);
-    slice.served += 1;
-    slice.predicted_cycles += job.predicted.cycles;
     let queue = picked_up.duration_since(job.submitted);
     // End-to-end spans submission → delivery; a coalesced member waits for
     // its whole batch span even though only its attributed share is billed
     // as `service`.
     let e2e = queue + batch_service.unwrap_or(service);
-    // Live counters and histograms are settled *before* the receipt is
-    // sent, so a snapshot taken after every ticket resolved agrees with
-    // the final telemetry.
-    if obs.farm.metrics {
-        obs.live.record_completion(
-            queue.as_nanos() as u64,
-            service.as_nanos() as u64,
-            e2e.as_nanos() as u64,
-            job.predicted.cycles as u64,
-            measured_cycles as u64,
-            batch_service.is_some(),
-        );
-        obs.tenant(job.tenant).record_completion(
-            e2e.as_nanos() as u64,
-            job.predicted.cycles as u64,
-            measured_cycles as u64,
-        );
-    }
     obs.event(JobEventKind::Completed, &job);
     let receipt = JobReceipt {
         id: job.id,
@@ -866,9 +748,23 @@ fn deliver(
         operand_hit: report.operand_hit(),
         output,
     };
-    if receipt.prediction_exact() {
-        log.exact_predictions += 1;
-    }
+    // Live counters and histograms are settled *before* the receipt is
+    // sent, so a snapshot taken after every ticket resolved agrees with
+    // the final one.
+    obs.live.record_completion(
+        queue.as_nanos() as u64,
+        service.as_nanos() as u64,
+        e2e.as_nanos() as u64,
+        job.predicted.cycles as u64,
+        measured_cycles as u64,
+        receipt.prediction_exact(),
+        batch_service.is_some(),
+    );
+    obs.tenant(job.tenant).record_completion(
+        e2e.as_nanos() as u64,
+        job.predicted.cycles as u64,
+        measured_cycles as u64,
+    );
     job.reply.resolve(Ok(receipt));
 }
 
@@ -876,15 +772,11 @@ fn deliver(
 /// and `failures` but toward neither receipt-based cycle tally, so
 /// predicted and measured stay symmetric over exactly the successfully
 /// served jobs.  The array work a job did before failing (e.g. the sweeps
-/// of a non-converging Gauss–Seidel run) is still visible in telemetry:
-/// the `_on` solvers record it on the station as it executes, so it lands
-/// in `station_cycles`.
-fn deliver_error(job: QueuedJob, error: DbtError, log: &mut WorkerTelemetry, obs: &mut Obs<'_>) {
-    log.jobs += 1;
-    log.failures += 1;
-    if obs.farm.metrics {
-        obs.live.record_failure();
-    }
+/// of a non-converging Gauss–Seidel run) is still visible: the `_on`
+/// solvers record it on the station as it executes, so it lands in the
+/// snapshot's `hex_cycles` / `linear_cycles`.
+fn deliver_error(job: QueuedJob, error: DbtError, obs: &mut Obs<'_>) {
+    obs.live.record_failure();
     obs.event(JobEventKind::Failed, &job);
     job.reply.resolve(Err(FarmError::Execution(error)));
 }
@@ -930,7 +822,6 @@ fn serve_coalesced(
     batch: &mut Vec<QueuedJob>,
     lanes: usize,
     picked_up: Instant,
-    log: &mut WorkerTelemetry,
     obs: &mut Obs<'_>,
 ) {
     // Lane-occupancy accounting mirrors the `.chunks(lanes)` split of
@@ -939,9 +830,7 @@ fn serve_coalesced(
     // batch as sequential solo passes.
     let per_pass = lanes.max(1);
     for chunk in batch.chunks(per_pass) {
-        if obs.farm.metrics {
-            obs.live.record_lane_pass(chunk.len());
-        }
+        obs.live.record_lane_pass(chunk.len());
         if per_pass > 1 {
             for qj in chunk {
                 obs.event(JobEventKind::LanePacked, qj);
@@ -995,8 +884,7 @@ fn serve_coalesced(
             let members = batch.len() as u32;
             let total_cycles: usize = outputs.iter().map(|(cycles, _)| *cycles).sum();
             for ((qj, (cycles, output)), report) in batch.drain(..).zip(outputs).zip(reports) {
-                log.coalesced_jobs += 1;
-                settle_staging(station, cache, queues, worker, &qj, &report, obs);
+                settle_staging(cache, queues, worker, &qj, &report, obs);
                 // Attribute the span by measured-cycle share; an all-zero
                 // batch (impossible for dense jobs, but cheap to guard)
                 // splits evenly.
@@ -1014,14 +902,13 @@ fn serve_coalesced(
                     cycles,
                     report,
                     output,
-                    log,
                     obs,
                 );
             }
         }
         Err(e) => {
             for qj in batch.drain(..) {
-                deliver_error(qj, e.clone(), log, obs);
+                deliver_error(qj, e.clone(), obs);
             }
         }
     }
@@ -1044,12 +931,9 @@ fn serve_single(
     queues: &QueueSet,
     qj: QueuedJob,
     picked_up: Instant,
-    log: &mut WorkerTelemetry,
     obs: &mut Obs<'_>,
 ) {
-    if obs.farm.metrics {
-        obs.live.record_lane_pass(1);
-    }
+    obs.live.record_lane_pass(1);
     let outcome: Result<(usize, StagingReport, JobOutput), DbtError> = match &qj.job {
         Job::DenseMm { a, b, e } => {
             let mut out = queues.pooled_matrix();
@@ -1099,12 +983,12 @@ fn serve_single(
     let service = picked_up.elapsed();
     match outcome {
         Ok((cycles, report, output)) => {
-            settle_staging(station, cache, queues, worker, &qj, &report, obs);
+            settle_staging(cache, queues, worker, &qj, &report, obs);
             deliver(
-                worker, qj, picked_up, service, None, cycles, report, output, log, obs,
+                worker, qj, picked_up, service, None, cycles, report, output, obs,
             );
         }
-        Err(e) => deliver_error(qj, e, log, obs),
+        Err(e) => deliver_error(qj, e, obs),
     }
 }
 
@@ -1134,8 +1018,7 @@ mod tests {
             farm.submit(Job::dense_mm(a.clone(), wrong)),
             Err(FarmError::Rejected(DbtError::ShapeMismatch { .. }))
         ));
-        let telemetry = farm.shutdown();
-        assert_eq!(telemetry.submitted, 0, "rejected jobs never queue");
+        assert_eq!(farm.shutdown().submitted, 0, "rejected jobs never queue");
     }
 
     #[test]
@@ -1171,11 +1054,7 @@ mod tests {
             ticket.wait(),
             Err(FarmError::Execution(DbtError::SingularPivot { .. }))
         ));
-        let telemetry = farm.shutdown();
-        assert_eq!(
-            telemetry.workers.iter().map(|w| w.failures).sum::<usize>(),
-            1
-        );
+        assert_eq!(farm.shutdown().failures(), 1);
     }
 
     #[test]
@@ -1209,10 +1088,10 @@ mod tests {
             )
             .expect("inexact estimates pass admission");
         assert!(gs.wait().is_ok());
-        let telemetry = farm.shutdown();
-        assert_eq!(telemetry.shed_at_admission, 1);
-        assert_eq!(telemetry.submitted, 2, "shed jobs never queue");
-        assert_eq!(telemetry.shed(), 0, "no dispatch-time shed");
+        let last = farm.shutdown();
+        assert_eq!(last.shed_at_admission, 1);
+        assert_eq!(last.submitted, 2, "shed jobs never queue");
+        assert_eq!(last.shed(), 0, "no dispatch-time shed");
     }
 
     #[test]
@@ -1263,14 +1142,14 @@ mod tests {
                 .unwrap()
                 .y
         );
-        let telemetry = farm.shutdown();
-        assert_eq!(telemetry.completed(), 2);
-        assert!((telemetry.exact_prediction_fraction() - 1.0).abs() < 1e-12);
-        assert_eq!(telemetry.predicted_cycles(), telemetry.measured_cycles());
+        let last = farm.shutdown();
+        assert_eq!(last.completed(), 2);
+        assert!((last.exact_prediction_fraction() - 1.0).abs() < 1e-12);
+        assert_eq!(last.predicted_cycles(), last.measured_cycles());
         // Default-tenant accounting covers both jobs.
-        let tenant = telemetry.tenant(0).expect("default tenant row");
+        let tenant = last.tenant(0).expect("default tenant row");
         assert_eq!(tenant.served, 2);
-        assert_eq!(tenant.served_predicted_cycles, telemetry.predicted_cycles());
+        assert_eq!(tenant.predicted_cycles, last.predicted_cycles());
     }
 
     #[test]
@@ -1302,12 +1181,12 @@ mod tests {
                 assert!(!receipt.coalesced());
             }
         }
-        let telemetry = farm.shutdown();
-        assert_eq!(telemetry.completed(), 6);
+        let last = farm.shutdown();
+        assert_eq!(last.completed(), 6);
         // At least some of the burst coalesced (the first job may have been
         // picked up alone before the rest arrived).
-        let coalesced: usize = telemetry.workers.iter().map(|w| w.coalesced_jobs).sum();
-        let batches: usize = telemetry.workers.iter().map(|w| w.batches).sum();
+        let coalesced: u64 = last.workers.iter().map(|w| w.coalesced_jobs).sum();
+        let batches: u64 = last.workers.iter().map(|w| w.batches).sum();
         assert!(batches <= 6);
         assert!(coalesced == 0 || coalesced >= 2);
     }

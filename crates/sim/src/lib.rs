@@ -58,7 +58,8 @@
 //!   extra cycle to latch the final result out of the array boundary).
 //!
 //! These conventions reproduce the paper's closed forms exactly
-//! (`T = 2w·n̄m̄+2w−3` and `T = 3w·p̄n̄m̄+4w−5`); see `EXPERIMENTS.md`.
+//! (`T = 2w·n̄m̄+2w−3` and `T = 3w·p̄n̄m̄+4w−5`); the `paper_experiments`
+//! binary checks them against the paper's tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,8 @@
 //! lifetime.  [`ArrayStation`] is that owned state: one hexagonal and one
 //! linear array of the same size `w`, **plus one persistent run workspace
 //! per array** ([`HexScratch`] / [`LinearScratch`]) and cumulative usage
-//! counters that survive across jobs — the per-worker utilization numbers
-//! the farm's telemetry reports come straight from here.
+//! counters that survive across jobs — the per-worker engine counters in
+//! the farm's snapshots come straight from here.
 //!
 //! The station therefore adds three things on top of the raw arrays:
 //! *identity* (a worker never re-creates its arrays per job), *steady-state
@@ -39,13 +39,6 @@ pub struct StationStats {
     /// Idle cycles the linear engine fast-forwarded over, counted once per
     /// array pass.
     pub linear_skipped_cycles: usize,
-    /// Operand-staging passes (DBT transforms materialized next to this
-    /// station because the band was not resident).
-    pub staged_bands: usize,
-    /// Modeled staging cost of those passes, in array cycles.  Kept separate
-    /// from `hex_cycles`/`linear_cycles`: staging moves operands, it does
-    /// not bill compute, so the closed-form compute predictions stay exact.
-    pub staging_cycles: usize,
 }
 
 impl StationStats {
@@ -195,14 +188,6 @@ impl<T: Scalar> ArrayStation<T> {
         self.stats.linear_cycles += cycles;
     }
 
-    /// Records one operand-staging pass (a DBT band materialized next to
-    /// this station) of the given modeled cost.  Staging is accounted apart
-    /// from compute cycles — see [`StationStats::staging_cycles`].
-    pub fn record_staging(&mut self, cycles: usize) {
-        self.stats.staged_bands += 1;
-        self.stats.staging_cycles += cycles;
-    }
-
     /// Cumulative usage counters since the station was created.
     pub fn stats(&self) -> StationStats {
         self.stats
@@ -223,15 +208,11 @@ mod tests {
         station.record_hex(100);
         station.record_hex(50);
         station.record_linear(25);
-        station.record_staging(40);
         let stats = station.stats();
         assert_eq!(stats.hex_runs, 2);
         assert_eq!(stats.hex_cycles, 150);
         assert_eq!(stats.linear_runs, 1);
         assert_eq!(stats.linear_cycles, 25);
-        assert_eq!(stats.staged_bands, 1);
-        assert_eq!(stats.staging_cycles, 40);
-        // Staging is not compute: total_cycles is unchanged by it.
         assert_eq!(stats.total_cycles(), 175);
         assert_eq!(stats.total_runs(), 3);
     }

@@ -4,7 +4,7 @@
 //! for every dense and block-sparse job the cycle count predicted at
 //! admission by the paper's closed forms matches the measured count
 //! **exactly**, and the lifecycle counters (cancelled/shed) land in the
-//! farm telemetry.  Both tenants also query the **same named operand** —
+//! final snapshot `shutdown` returns.  Both tenants also query the **same named operand** —
 //! the band stages once and every later serve is a residency hit, printed
 //! from the mid-run snapshot's hit ratio.  Along the way it takes a live
 //! [`ArrayFarm::snapshot`] mid-run and exports the lifecycle event trace
@@ -205,41 +205,41 @@ fn main() -> Result<(), FarmError> {
         Err(err) => println!("\ncould not write {}: {err}", trace_path.display()),
     }
 
-    let telemetry = farm.shutdown();
+    let last = farm.shutdown();
     println!(
         "\nfarm: {} jobs in {:.2} ms, {} steals, {} cancelled, {} shed, max queue depth {}",
-        telemetry.completed(),
-        telemetry.wall.as_secs_f64() * 1e3,
-        telemetry.steals,
-        telemetry.cancelled,
-        telemetry.shed(),
-        telemetry.max_queue_depth()
+        last.completed(),
+        last.at.as_secs_f64() * 1e3,
+        last.steals,
+        last.cancelled,
+        last.shed(),
+        last.max_depth
     );
     println!(
         "predicted {} vs measured {} array steps across the farm ({:.0}% of jobs exact)",
-        telemetry.predicted_cycles(),
-        telemetry.measured_cycles(),
-        telemetry.exact_prediction_fraction() * 100.0
+        last.predicted_cycles(),
+        last.measured_cycles(),
+        last.exact_prediction_fraction() * 100.0
     );
-    for worker in &telemetry.workers {
+    for worker in &last.workers {
         println!(
             "  worker {} ({:<6}): {} jobs, {} array steps, busy {:.0}%",
             worker.worker,
             worker.class.label(),
             worker.jobs,
-            worker.station_cycles,
-            worker.utilization(telemetry.wall) * 100.0
+            worker.hex_cycles + worker.linear_cycles,
+            worker.utilization(last.at) * 100.0
         );
     }
-    for tenant in &telemetry.tenants {
+    let served_cycles: u64 = last.tenants.iter().map(|t| t.predicted_cycles).sum();
+    for tenant in &last.tenants {
         println!(
-            "  tenant {} (weight {}): {} submitted, {} served, {} cancelled, {:.0}% of served cycles",
+            "  tenant {}: {} submitted, {} served, {} cancelled, {:.0}% of served cycles",
             tenant.tenant,
-            tenant.weight,
             tenant.submitted,
             tenant.served,
             tenant.cancelled,
-            telemetry.served_cycle_share(tenant.tenant) * 100.0
+            tenant.predicted_cycles as f64 / served_cycles.max(1) as f64 * 100.0
         );
     }
 

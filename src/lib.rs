@@ -16,8 +16,9 @@
 //!   job streams using the paper's closed forms as its cost model
 //!   (`sia-runtime`).
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-versus-measured record.
+//! See `README.md` for a tour and the engine architecture, `BENCHMARKS.md`
+//! for the measured record, and the `paper_experiments` binary's output
+//! for every paper-versus-measured table.
 //!
 //! ```
 //! use size_independent_systolic::prelude::*;

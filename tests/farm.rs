@@ -28,8 +28,7 @@ fn serve_sparse(a: &DenseMatrix<f64>, x: &[f64], b: Option<&[f64]>, w: usize) ->
         })
         .unwrap();
     let receipt = ticket.wait().unwrap();
-    let telemetry = farm.shutdown();
-    assert_eq!(telemetry.completed(), 1);
+    assert_eq!(farm.shutdown().completed(), 1);
     receipt
 }
 
@@ -104,13 +103,17 @@ fn cancelled_queued_job_never_runs() {
     assert!(victim.cancel(), "victim is still queued behind the blocker");
     assert!(matches!(victim.wait(), Err(FarmError::Cancelled)));
     let blocker_receipt = blocker.wait().unwrap();
-    let telemetry = farm.shutdown();
-    assert_eq!(telemetry.cancelled, 1);
-    assert_eq!(telemetry.completed(), 1);
+    let last = farm.shutdown();
+    assert_eq!(last.cancelled, 1);
+    assert_eq!(last.completed(), 1);
     // The cancelled job never touched an array: the farm's station cycles
     // account for the blocker alone.
-    let station_cycles: usize = telemetry.workers.iter().map(|w| w.station_cycles).sum();
-    assert_eq!(station_cycles, blocker_receipt.measured_cycles);
+    let station_cycles: u64 = last
+        .workers
+        .iter()
+        .map(|w| w.hex_cycles + w.linear_cycles)
+        .sum();
+    assert_eq!(station_cycles, blocker_receipt.measured_cycles as u64);
 }
 
 #[test]
@@ -135,12 +138,104 @@ fn expired_deadline_jobs_are_shed_under_every_policy() {
             other => panic!("{}: expected a shed, got {other:?}", policy.label()),
         }
         assert!(blocker.wait().is_ok());
-        let telemetry = farm.shutdown();
-        assert_eq!(telemetry.shed(), 1, "{}", policy.label());
-        assert_eq!(telemetry.completed(), 1, "{}", policy.label());
-        let tenant = telemetry.tenant(0).expect("default tenant row");
+        let last = farm.shutdown();
+        assert_eq!(last.shed(), 1, "{}", policy.label());
+        assert_eq!(last.completed(), 1, "{}", policy.label());
+        let tenant = last.tenant(0).expect("default tenant row");
         assert_eq!(tenant.shed, 1, "{}", policy.label());
     }
+}
+
+#[test]
+fn an_estimate_that_happens_to_match_is_not_counted_exact() {
+    // With b = 0 the Gauss–Seidel estimate is one sweep and the run takes
+    // exactly one sweep, but the estimate is flagged inexact: the receipt
+    // and the farm's ledger must both call the job inexact.
+    let farm = ArrayFarm::new(FarmConfig::new(3)).unwrap();
+    let receipt = farm
+        .submit(Job::GaussSeidel {
+            a: gen::diagonally_dominant_f64(6, 71),
+            b: vec![0.0; 6],
+            tol: 1e-9,
+            max_sweeps: 100,
+        })
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(!receipt.predicted.exact);
+    assert_eq!(receipt.predicted.cycles, receipt.measured_cycles);
+    assert!(!receipt.prediction_exact());
+    let last = farm.shutdown();
+    assert_eq!(last.completed(), 1);
+    assert_eq!(last.exact_prediction_fraction(), 0.0);
+}
+
+#[test]
+fn a_dark_farm_keeps_its_ledger() {
+    // No histograms and no event rings: every count, cycle total and
+    // tenant row must still be exact.
+    let farm = ArrayFarm::new(FarmConfig::new(4).metrics(false).trace_capacity(0)).unwrap();
+    let mv = |seed: u64| {
+        Job::dense_mv(
+            gen::random_dense_f64(16, 16, seed),
+            gen::random_vector_f64(16, seed + 1),
+        )
+    };
+    let blocker = farm
+        .submit(JobSpec::new(blocker_job(61)).tenant(1))
+        .unwrap();
+    let victim = farm.submit(JobSpec::new(mv(62)).tenant(2)).unwrap();
+    let doomed = farm
+        .submit(
+            JobSpec::new(mv(63))
+                .tenant(1)
+                .deadline(Duration::from_nanos(1)),
+        )
+        .unwrap();
+    let served: Vec<_> = (0..6u64)
+        .map(|i| {
+            let tenant = 1 + (i % 2) as u32;
+            farm.submit(JobSpec::new(mv(70 + 2 * i)).tenant(tenant))
+                .unwrap()
+        })
+        .collect();
+    assert!(victim.cancel(), "victim is still queued behind the blocker");
+    assert!(matches!(victim.wait(), Err(FarmError::Cancelled)));
+    assert!(matches!(
+        doomed.wait(),
+        Err(FarmError::DeadlineExceeded { .. })
+    ));
+    let mut receipts = vec![blocker.wait().unwrap()];
+    receipts.extend(served.into_iter().map(|t| t.wait().unwrap()));
+    let last = farm.shutdown();
+
+    assert_eq!(last.completed(), 7);
+    assert_eq!(last.submitted, 9);
+    assert_eq!(last.cancelled, 1);
+    assert_eq!(last.shed(), 1);
+    assert_eq!(last.exact_prediction_fraction(), 1.0);
+    let heavy = last.tenant(1).expect("tenant 1 row");
+    assert_eq!(
+        (heavy.submitted, heavy.served, heavy.shed, heavy.cancelled),
+        (5, 4, 1, 0)
+    );
+    let light = last.tenant(2).expect("tenant 2 row");
+    assert_eq!(
+        (light.submitted, light.served, light.shed, light.cancelled),
+        (4, 3, 0, 1)
+    );
+    let receipt_cycles: u64 = receipts.iter().map(|r| r.measured_cycles as u64).sum();
+    let station_cycles: u64 = last
+        .workers
+        .iter()
+        .map(|w| w.hex_cycles + w.linear_cycles)
+        .sum();
+    assert_eq!(station_cycles, receipt_cycles);
+    assert_eq!(last.measured_cycles(), receipt_cycles);
+    // ...and none of the optional instrumentation.
+    assert_eq!(last.e2e_latency().count(), 0);
+    assert!(last.lane_occupancy().iter().all(|&passes| passes == 0));
+    assert_eq!(last.trace_recorded, 0);
 }
 
 #[test]
@@ -179,18 +274,18 @@ fn wfq_gives_the_heavy_tenant_its_weighted_share() {
     // Freeze the light tenant's share the moment the heavy tenant drains.
     let cancelled = light.iter().filter(|t| t.cancel()).count();
     assert!(blocker.wait().is_ok());
-    let telemetry = farm.shutdown();
-    let heavy_row = telemetry.tenant(1).expect("heavy tenant row");
-    let light_row = telemetry.tenant(2).expect("light tenant row");
-    assert_eq!(heavy_row.served, JOBS, "heavy tenant fully served");
-    assert_eq!(telemetry.cancelled, cancelled as u64);
+    let last = farm.shutdown();
+    let heavy_row = last.tenant(1).expect("heavy tenant row");
+    let light_row = last.tenant(2).expect("light tenant row");
+    assert_eq!(heavy_row.served, JOBS as u64, "heavy tenant fully served");
+    assert_eq!(last.cancelled, cancelled as u64);
     assert_eq!(
-        light_row.served + light_row.cancelled as usize,
-        JOBS,
+        light_row.served + light_row.cancelled,
+        JOBS as u64,
         "every light job was served or cancelled, never lost"
     );
-    let heavy_cycles = heavy_row.served_predicted_cycles as f64;
-    let light_cycles = light_row.served_predicted_cycles as f64;
+    let heavy_cycles = heavy_row.predicted_cycles as f64;
+    let light_cycles = light_row.predicted_cycles as f64;
     // Exact 10:1 shares put the heavy tenant at 10/11 ≈ 0.909 of the live
     // cycles; the deterministic part of the test only needs a bound loose
     // enough to survive scheduling jitter around the cancel sweep.
@@ -332,7 +427,7 @@ fn idle_workers_steal_from_a_backlogged_peer_bit_identically() {
     // then a burst of short jobs lands behind it.  Backlog routing spreads
     // the burst across both queues, but the blocked worker's share can only
     // finish in time if the drained peer steals it — so steals must show up
-    // in telemetry, and every stolen job must still produce the exact
+    // in the snapshot, and every stolen job must still produce the exact
     // solver result.
     let w = 4;
     let farm = ArrayFarm::new(FarmConfig::new(w).linear_workers(2).coalesce_limit(1)).unwrap();
@@ -364,11 +459,10 @@ fn idle_workers_steal_from_a_backlogged_peer_bit_identically() {
         );
     }
     blocker.wait().unwrap();
-    let telemetry = farm.shutdown();
+    let steals = farm.shutdown().steals;
     assert!(
-        telemetry.steals > 0,
-        "the drained worker must steal from its blocked peer (got {} steals)",
-        telemetry.steals
+        steals > 0,
+        "the drained worker must steal from its blocked peer (got {steals} steals)"
     );
 }
 
@@ -486,9 +580,7 @@ fn live_snapshot_after_all_receipts_agrees_with_final_telemetry() {
     // snapshot taken after the last receipt must already agree with the
     // final post-join snapshot on everything job-scoped.
     let live = farm.snapshot();
-    let telemetry = farm.shutdown();
-    let last = &telemetry.snapshot;
-    assert_eq!(live.completed(), telemetry.completed() as u64);
+    let last = farm.shutdown();
     assert_eq!(live.completed(), last.completed());
     assert_eq!(live.submitted, last.submitted);
     assert_eq!(live.steals, last.steals);

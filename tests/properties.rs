@@ -11,8 +11,8 @@
 //!   summaries) agree with the analytic predictions, and lane-parallel
 //!   batches are outcome-identical to sequential runs;
 //! * the farm's lifecycle: under every policy, cancellation racing dispatch
-//!   resolves to exactly one of receipt/`Cancelled`, and the telemetry
-//!   books balance (completed + cancelled == submitted).
+//!   resolves to exactly one of receipt/`Cancelled`, and the final
+//!   snapshot's books balance (completed + cancelled == submitted).
 //!
 //! The build environment has no crates.io access, so instead of proptest
 //! the cases are drawn from the workspace's own deterministic generator
@@ -674,10 +674,10 @@ fn farm_serves_every_job_exactly_once_with_direct_call_results() {
                     );
                 }
             }
-            let telemetry = farm.shutdown();
-            assert_eq!(telemetry.submitted, 10);
-            assert_eq!(telemetry.completed(), 10, "every job served exactly once");
-            assert_eq!(telemetry.workers.len(), 2 * workers);
+            let last = farm.shutdown();
+            assert_eq!(last.submitted, 10);
+            assert_eq!(last.completed(), 10, "every job served exactly once");
+            assert_eq!(last.workers.len(), 2 * workers);
         }
     }
 }
@@ -688,7 +688,7 @@ fn cancellation_races_resolve_to_exactly_one_outcome() {
     // dispatch them yields exactly one resolution per job: a successful
     // `cancel()` is always followed by `FarmError::Cancelled` (the job
     // never ran), a failed one by a normal bit-identical receipt, and the
-    // telemetry books balance: completed + cancelled == submitted.
+    // final snapshot's books balance: completed + cancelled == submitted.
     let w = 3;
     let jobs_per_policy = 24u64;
     let mut rng = SplitMix64::new(0xCA9C);
@@ -729,12 +729,12 @@ fn cancellation_races_resolve_to_exactly_one_outcome() {
                 Err(e) => panic!("policy {}: unexpected resolution {e}", policy.label()),
             }
         }
-        let telemetry = farm.shutdown();
-        assert_eq!(telemetry.cancelled, cancelled);
+        let last = farm.shutdown();
+        assert_eq!(last.cancelled, cancelled);
         assert_eq!(served + cancelled, jobs_per_policy);
         assert_eq!(
-            telemetry.completed() as u64 + telemetry.cancelled,
-            telemetry.submitted,
+            last.completed() + last.cancelled,
+            last.submitted,
             "policy {}: lifecycle books must balance",
             policy.label()
         );
